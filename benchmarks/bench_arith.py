@@ -111,7 +111,7 @@ def _stream(pool: list, repeats: int, seed: int = 29) -> list:
 def _build_table(
     data: dict, plan: bool, compile_: bool, analytics: bool = False
 ) -> AnalyticsTable:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
     runtime = PimRuntime(system, plan=plan, compile=compile_)
     table = AnalyticsTable(runtime, N_ROWS, compile_analytics=analytics)
     table.load_column("age", data["age"], 6)

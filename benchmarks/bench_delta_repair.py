@@ -151,7 +151,7 @@ def _run_arm(pool, events, repair: bool, compile_: bool) -> dict:
     still issued on every read, and every result is compared
     byte-for-byte against the live numpy mirror).
     """
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
     rt = PimRuntime(system, plan=True, compile=compile_, repair=repair)
     data_rng = np.random.default_rng(101)
     handles, mirror = [], []

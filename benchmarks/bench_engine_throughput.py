@@ -1,20 +1,24 @@
-"""Engine microbenchmark: batched vs per-command pricing throughput.
+"""Engine microbenchmark: batched pricing vs the reference interpreter.
 
 The perf-regression harness for the batched execution engine.  A fixed
 FastBit workload -- bitmap vectors spanning **64 rank-row chunks**, a
-stream of **100 conjunctive range queries** -- runs twice on identical
-systems:
+stream of **100 conjunctive range queries** -- runs once through
+``PimFastBit.query_many``, and every command batch the executor emits
+is recorded through ``PinatuboExecutor.record_sink``.  The recorded
+batches are then priced twice on fresh controllers:
 
-- *per-command*: ``batch_commands=False``, one ``MemoryController.
-  execute`` call per combine step per chunk (the pre-batching engine);
-- *batched*: ``batch_commands=True`` + ``PimFastBit.query_many``, one
-  ``execute_batch`` per logical operation / query stream.
+- *batched*: one ``MemoryController.execute_batch`` per batch (the
+  engine's own pricing);
+- *per-command*: the reference interpreter, one
+  ``MemoryController.execute`` call per fenced segment of each batch.
 
-Both produce identical hits and identical simulated cost (locked by
-``tests/core/test_batch_equivalence.py``); this benchmark measures the
-*simulator's own* wall-clock throughput (simulated ops/second and
-commands/second) and asserts the batched engine is at least 3x faster.
-Results land in ``BENCH_engine.json`` at the repo root.
+Both must give identical simulated cost -- exact counts and bus
+ledgers, float totals within 1e-9 relative (summation order differs;
+``tests/core/test_batch_equivalence.py`` holds small batches to
+1e-12) -- and hits must match the numpy oracle.  The benchmark measures the *simulator's own*
+wall-clock pricing throughput (commands/second) and asserts the
+batched pricing is at least 3x faster.  Results land in
+``BENCH_engine.json`` at the repo root.
 """
 
 import json
@@ -23,10 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.apps.fastbit import RangeQuery
+from repro.apps.fastbit import FastBitDB, RangeQuery
 from repro.apps.fastbit_pim import PimFastBit
 from repro.apps.star import ColumnSpec, synthetic_star_table
 from repro.core.pinatubo import PinatuboSystem
+from repro.memsim.controller import (
+    Command,
+    CommandKind,
+    ExecutionStats,
+    MemoryController,
+)
 from repro.memsim.geometry import MemoryGeometry
 from repro.nvm.technology import get_technology
 from repro.runtime.api import PimRuntime
@@ -70,64 +80,110 @@ def _queries(seed: int = 17) -> list:
     return queries
 
 
-def _build_db(batch_commands: bool, table) -> PimFastBit:
-    system = PinatuboSystem(
-        get_technology("pcm"), GEOM, batch_commands=batch_commands
-    )
-    runtime = PimRuntime(system)
-    return PimFastBit(runtime, table)
+_KINDS = tuple(CommandKind)
+
+#: batches here run to thousands of commands, so the two pricings'
+#: different float summation orders differ by ~1e-12; counts and bus
+#: ledgers must match exactly
+REL = 1e-9
+
+
+def _segments(batch) -> list:
+    """A recorded batch as one :class:`Command` list per fenced segment."""
+    out = []
+    last = None
+    for kind, ch, n_bits, n_steps, transfer, seg in zip(
+        batch.kinds, batch.channels, batch.n_bits, batch.n_steps,
+        batch.transfer_bytes, batch.segments,
+    ):
+        if seg != last:
+            out.append([])
+            last = seg
+        out[-1].append(Command(_KINDS[kind], channel=ch, n_bits=n_bits,
+                               n_steps=n_steps, transfer_bytes=transfer))
+    return out
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= REL * max(abs(a), abs(b))
+
+
+def _assert_same_cost(batched: ExecutionStats, ref: ExecutionStats) -> None:
+    assert batched.counts == ref.counts
+    assert batched.bus.commands == ref.bus.commands
+    assert batched.bus.data_bytes == ref.bus.data_bytes
+    assert _close(batched.latency, ref.latency)
+    assert _close(batched.energy, ref.energy)
+    assert set(batched.energy_by_kind) == set(ref.energy_by_kind)
+    for kind, e in batched.energy_by_kind.items():
+        assert _close(e, ref.energy_by_kind[kind])
 
 
 def _run_engine_benchmark() -> dict:
-    from repro.memsim.controller import perf_counters
-
     table = synthetic_star_table(N_EVENTS, columns=COLUMNS, seed=11)
     queries = _queries()
 
-    # -- per-command baseline (legacy engine) -------------------------------
-    db_legacy = _build_db(batch_commands=False, table=table)
-    c0 = perf_counters.scalar_commands
+    # -- the workload, recording every emitted batch --------------------------
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
+    db = PimFastBit(PimRuntime(system), table)
+    system.executor.record_sink = recorded = []
     t0 = time.perf_counter()
-    legacy_results = db_legacy.run_workload(queries)
-    legacy_s = time.perf_counter() - t0
-    legacy_commands = perf_counters.scalar_commands - c0
+    results = db.query_many(queries)
+    workload_s = time.perf_counter() - t0
+    system.executor.record_sink = None
+    oracle = FastBitDB(table, functional=False)
+    assert [r.hits for r in results] == [oracle.query_oracle(q) for q in queries]
+    batches = [entry[1] for entry in recorded]
+    n_commands = sum(len(b) for b in batches)
 
-    # -- batched engine -----------------------------------------------------
-    db_batched = _build_db(batch_commands=True, table=table)
-    c0 = perf_counters.batch_commands
+    # -- batched pricing of the recorded batches -----------------------------
+    ctrl = MemoryController(GEOM, system.timing)
     t0 = time.perf_counter()
-    batched_results = db_batched.query_many(queries)
+    batched = [ctrl.execute_batch(b) for b in batches]
     batched_s = time.perf_counter() - t0
-    batched_commands = perf_counters.batch_commands - c0
 
-    # both engines must answer identically
-    assert [r.hits for r in legacy_results] == [r.hits for r in batched_results]
+    # -- reference interpreter: one execute per fenced segment ----------------
+    segmented = [_segments(b) for b in batches]
+    ref_ctrl = MemoryController(GEOM, system.timing)
+    execute = ref_ctrl.execute
+    t0 = time.perf_counter()
+    reference = []
+    for segments in segmented:
+        total = ExecutionStats()
+        for commands in segments:
+            total = total.merged(execute(commands))
+        reference.append(total)
+    reference_s = time.perf_counter() - t0
 
-    sim_ops = sum(r.in_memory_steps for r in batched_results)
-    result = {
+    # both pricings must give identical simulated cost
+    for stats_b, stats_r in zip(batched, reference):
+        _assert_same_cost(stats_b, stats_r)
+
+    sim_ops = sum(r.in_memory_steps for r in results)
+    return {
         "workload": {
             "n_events": N_EVENTS,
             "chunks_per_vector": N_CHUNKS,
             "n_queries": N_QUERIES,
             "row_bits": GEOM.row_bits,
+            "batches": len(batches),
+            "commands": n_commands,
+            "query_many_wall_s": workload_s,
+            "queries_per_s": N_QUERIES / workload_s,
+            "sim_ops_per_s": sim_ops / workload_s,
         },
         "per_command": {
-            "wall_s": legacy_s,
-            "commands_priced": legacy_commands,
-            "queries_per_s": N_QUERIES / legacy_s,
-            "commands_per_s": legacy_commands / legacy_s,
-            "sim_ops_per_s": sim_ops / legacy_s,
+            "wall_s": reference_s,
+            "commands_priced": n_commands,
+            "commands_per_s": n_commands / reference_s,
         },
         "batched": {
             "wall_s": batched_s,
-            "commands_priced": batched_commands,
-            "queries_per_s": N_QUERIES / batched_s,
-            "commands_per_s": batched_commands / batched_s,
-            "sim_ops_per_s": sim_ops / batched_s,
+            "commands_priced": n_commands,
+            "commands_per_s": n_commands / batched_s,
         },
-        "speedup": legacy_s / batched_s,
+        "speedup": reference_s / batched_s,
     }
-    return result
 
 
 def _write_result(result: dict) -> None:
@@ -140,8 +196,8 @@ def _write_result(result: dict) -> None:
 
 
 def test_engine_throughput(once):
-    """Batched engine >= 3x the per-command engine on the 64-chunk,
-    100-query FastBit stream; writes BENCH_engine.json."""
+    """Batched pricing >= 3x the reference interpreter over the batches
+    of the 64-chunk, 100-query FastBit stream; writes BENCH_engine.json."""
     result = once(_run_engine_benchmark)
     _write_result(result)
     print()
@@ -159,4 +215,4 @@ if __name__ == "__main__":
     res = _run_engine_benchmark()
     _write_result(res)
     print(json.dumps(res, indent=2))
-    assert res["speedup"] >= 3.0, "batched engine regression: speedup < 3x"
+    assert res["speedup"] >= 3.0, "batched pricing regression: speedup < 3x"

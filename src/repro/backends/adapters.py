@@ -242,7 +242,7 @@ class PinatuboBackend(BulkBitwiseBackend):
             dest = rt.pim_malloc(n_bits, "backend")
             rt.driver.submit(op, dest, sources, n_bits)
             staged.append((op, dest, sources, n_bits))
-        results = rt.driver.flush(batched=True)
+        results = rt.driver.flush()
 
         runs = []
         for (op, dest, sources, n_bits), result in zip(staged, results):

@@ -28,16 +28,18 @@ multi-chunk vector (longer than one rank row) executes its chunks
 serially -- the paper's "bit-vectors longer than 2^19 have to be mapped to
 multiple ranks that work in serial" (Fig. 9 turning point B).
 
-Command pricing is **batched**: by default every logical operation
-(covering all its chunks and accumulation passes) is emitted as one
-:class:`~repro.memsim.controller.CommandBatch` and priced with a single
-vectorized :meth:`~repro.memsim.controller.MemoryController.execute_batch`
-call, with fences preserving the serial semantics chunk-for-chunk.
-``batch_commands=False`` keeps the original one-``execute``-per-step
-path; both produce identical accounting (the equivalence is locked by
-``tests/core/test_batch_equivalence.py``).  :meth:`PinatuboExecutor.
-bitwise_many` goes one further and prices a whole stream of operations
-as one marked batch, splitting the stats per operation afterwards.
+Every operation is priced as a :class:`~repro.memsim.controller.
+CommandBatch`: the logical operation (all its chunks and accumulation
+passes) is emitted into one batch and priced with a single vectorized
+:meth:`~repro.memsim.controller.MemoryController.execute_batch` call,
+with fences preserving the serial semantics chunk-for-chunk.
+:meth:`PinatuboExecutor.bitwise_many` prices a whole stream of
+operations as one marked batch and splits the stats per operation
+afterwards; :meth:`PinatuboExecutor.bitwise` is a stream of one.  The
+scalar :meth:`~repro.memsim.controller.MemoryController.execute` stays
+the reference interpreter: ``tests/core/test_batch_equivalence.py``
+re-prices every recorded batch through it, one fenced segment at a
+time, and checks the accounting agrees.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry
-from repro.core.ops import OperandLimits, PimOp, operand_limits
+from repro.core.ops import MODE_CODES, OperandLimits, PimOp, operand_limits
 from repro.core.stats import OpAccounting
 from repro.memsim.address import AddressMapper, OpLocality
 from repro.memsim.controller import (
     KIND_CODES as _CODE,
-    Command,
     CommandBatch,
     CommandKind,
     MemoryController,
@@ -67,13 +68,6 @@ from repro.nvm.technology import NVMTechnology, get_technology
 class PlacementError(RuntimeError):
     """Operands placed so the operation cannot execute in memory."""
 
-
-#: kind per integer code -- decodes cached command-template rows back
-#: into :class:`Command` objects on the legacy per-step path
-_KINDS = tuple(CommandKind)
-
-#: MR4 mode codes per PIM operation (paper Fig. 4 hardware control).
-MODE_CODES = {PimOp.OR: 0b001, PimOp.AND: 0b010, PimOp.XOR: 0b011, PimOp.INV: 0b100}
 
 #: one queued logical operation for :meth:`PinatuboExecutor.bitwise_many`:
 #: (op, dest_frames, source_frame_lists, n_bits[, overlap_chunks])
@@ -111,7 +105,6 @@ class PinatuboExecutor:
         memory: Optional[MainMemory] = None,
         controller: Optional[MemoryController] = None,
         max_rows: Optional[int] = None,
-        batch_commands: bool = True,
     ):
         self.geometry = geometry
         self.technology = technology or get_technology("pcm")
@@ -120,15 +113,19 @@ class PinatuboExecutor:
         self.controller = controller or MemoryController(geometry, self.timing)
         self.mapper = AddressMapper(geometry)
         self.limits: OperandLimits = operand_limits(self.technology, max_rows)
-        #: price each logical operation as one vectorized command batch
-        #: (False restores the per-combine-step ``execute`` path)
-        self.batch_commands = batch_commands
         self._current_mode: Optional[PimOp] = None
         #: combine-step command templates, see :meth:`_step_rows`
         self._step_templates: Dict[tuple, tuple] = {}
-        #: when set (a list), the batched paths append their finished
-        #: command batches as ``(flavor, batch)`` tuples so the kernel
-        #: compiler (:mod:`repro.plan.compile`) can freeze them
+        #: the lone MRS of :meth:`_set_mode` without a batch (the repair
+        #: engine's mode switch, once per repair); its columns never
+        #: change, so it opts into the controller's price memo, which
+        #: replays it ~15x faster than pricing a fresh one-command batch
+        self._mrs_batch = CommandBatch()
+        self._mrs_batch.add(CommandKind.MRS)
+        self._mrs_batch.price_memo_ok = True
+        #: when set (a list), every finished command batch of a bitwise
+        #: operation is appended as a ``(flavor, batch, ...)`` tuple so the
+        #: kernel compiler (:mod:`repro.plan.compile`) can freeze it
         self.record_sink: Optional[list] = None
 
     # -- host-side data movement ------------------------------------------------
@@ -138,28 +135,19 @@ class PinatuboExecutor:
         bits = np.asarray(bits, dtype=np.uint8)
         acct = OpAccounting()
         g = self.geometry
-        batch = CommandBatch() if self.batch_commands else None
+        batch = CommandBatch()
         for i, frame in enumerate(frames):
             chunk = bits[i * g.row_bits : (i + 1) * g.row_bits]
             if chunk.size == 0:
                 break
             self.memory.write_bits(frame, chunk)
             ch = self.mapper.channel_of(frame)
-            n_bytes = -(-chunk.size // 8)
-            if batch is None:
-                acct.absorb(self.controller.execute([
-                    Command(CommandKind.ACT, channel=ch, n_bits=chunk.size),
-                    Command(CommandKind.WR, channel=ch, n_bits=chunk.size,
-                            transfer_bytes=n_bytes),
-                    Command(CommandKind.PRE, channel=ch),
-                ]))
-            else:
-                batch.add(CommandKind.ACT, channel=ch, n_bits=chunk.size)
-                batch.add(CommandKind.WR, channel=ch, n_bits=chunk.size,
-                          transfer_bytes=n_bytes)
-                batch.add(CommandKind.PRE, channel=ch)
-                batch.fence()  # frames serialise, as per-frame execute did
-        if batch is not None and len(batch):
+            batch.add(CommandKind.ACT, channel=ch, n_bits=chunk.size)
+            batch.add(CommandKind.WR, channel=ch, n_bits=chunk.size,
+                      transfer_bytes=-(-chunk.size // 8))
+            batch.add(CommandKind.PRE, channel=ch)
+            batch.fence()  # frames serialise
+        if len(batch):
             acct.absorb(self.controller.execute_batch(batch))
         return acct
 
@@ -173,37 +161,24 @@ class PinatuboExecutor:
         g = self.geometry
         parts = []
         remaining = n_bits
-        batch = CommandBatch() if self.batch_commands else None
+        batch = CommandBatch()
         for frame in frames:
             take = min(remaining, g.row_bits)
             parts.append(self.memory.read_bits(frame, take))
             ch = self.mapper.channel_of(frame)
-            steps = g.sense_steps_for_bits(take)
-            n_bytes = -(-take // 8)
-            if batch is None:
-                acct.absorb(self.controller.execute([
-                    Command(CommandKind.ACT, channel=ch, n_bits=take),
-                    Command(CommandKind.PIM_SENSE, channel=ch,
-                            n_steps=steps, n_bits=take),
-                    Command(CommandKind.RD, channel=ch, n_bits=take,
-                            transfer_bytes=n_bytes),
-                    Command(CommandKind.PRE, channel=ch),
-                ]))
-            else:
-                batch.add(CommandKind.ACT, channel=ch, n_bits=take)
-                batch.add(CommandKind.PIM_SENSE, channel=ch,
-                          n_steps=steps, n_bits=take)
-                batch.add(CommandKind.RD, channel=ch, n_bits=take,
-                          transfer_bytes=n_bytes)
-                batch.add(CommandKind.PRE, channel=ch)
-                batch.fence()
+            batch.add(CommandKind.ACT, channel=ch, n_bits=take)
+            batch.add(CommandKind.PIM_SENSE, channel=ch,
+                      n_steps=g.sense_steps_for_bits(take), n_bits=take)
+            batch.add(CommandKind.RD, channel=ch, n_bits=take,
+                      transfer_bytes=-(-take // 8))
+            batch.add(CommandKind.PRE, channel=ch)
+            batch.fence()
             remaining -= take
             if remaining <= 0:
                 break
         if remaining > 0:
             raise ValueError("frames do not cover n_bits")
-        if batch is not None and len(batch):
-            acct.absorb(self.controller.execute_batch(batch))
+        acct.absorb(self.controller.execute_batch(batch))
         return np.concatenate(parts), acct
 
     # -- PIM operations -----------------------------------------------------------
@@ -217,6 +192,8 @@ class PinatuboExecutor:
         overlap_chunks: bool = False,
     ) -> OpResult:
         """Execute ``dest = op(sources)`` over row-aligned vectors.
+
+        A stream of one: ``bitwise_many([request])[0]``.
 
         Parameters
         ----------
@@ -239,30 +216,9 @@ class PinatuboExecutor:
             ``PlacementPolicy.CHANNEL_STRIPED`` to actually spread a long
             vector's chunks over channels.
         """
-        op, dest, sources, n_chunks = self._validate_request(
-            op, dest_frames, source_frame_lists, n_bits
-        )
-        with telemetry.span(
-            "core.executor.bitwise", op=op.value, n_bits=n_bits
-        ) as sp:
-            if self.batch_commands:
-                sink: Union[CommandBatch, list, None] = CommandBatch()
-            else:
-                sink = [] if overlap_chunks else None
-            total_steps, acct, localities = self._bitwise_into(
-                sink, op, dest, sources, n_bits, n_chunks, overlap_chunks
-            )
-            if isinstance(sink, CommandBatch):
-                acct.absorb(self.controller.execute_batch(sink))
-                if self.record_sink is not None:
-                    self.record_sink.append(("single", sink))
-            elif sink:
-                acct.absorb(self.controller.execute(sink))
-            acct.count_bits(n_bits * len(sources))
-            sp.add(steps=total_steps)
-            return OpResult(
-                op=op, accounting=acct, steps=total_steps, localities=localities
-            )
+        return self.bitwise_many(
+            [(op, dest_frames, source_frame_lists, n_bits, overlap_chunks)]
+        )[0]
 
     def bitwise_many(
         self, requests: Sequence[BitwiseRequest]
@@ -274,8 +230,8 @@ class PinatuboExecutor:
         stream is emitted into a single marked
         :class:`~repro.memsim.controller.CommandBatch`, priced in one
         vectorized pass, and the stats are split back per operation --
-        every returned :class:`OpResult` is identical to what sequential
-        :meth:`bitwise` calls would produce.
+        every returned :class:`OpResult` is identical to what a stream of
+        one per request would produce.
 
         Placement is validated for *all* requests up front: a
         :class:`PlacementError` is raised before any memory state is
@@ -290,11 +246,6 @@ class PinatuboExecutor:
                 self._validate_request(op, dest_frames, source_frame_lists, n_bits)
                 + (n_bits, overlap)
             )
-        if not self.batch_commands:
-            return [
-                self.bitwise(op, dest, sources, n_bits, overlap)
-                for op, dest, sources, _, n_bits, overlap in parsed
-            ]
         chunk_locs = [
             self._prevalidate_placement(dest, sources, n_chunks)
             for op, dest, sources, n_chunks, n_bits, _ in parsed
@@ -352,23 +303,21 @@ class PinatuboExecutor:
         op, scratch, sources, n_chunks = self._validate_request(
             op, scratch_frames, source_frame_lists, n_bits
         )
+        chunk_locs = self._prevalidate_placement(scratch, sources, n_chunks)
         with telemetry.span(
             "core.executor.bitwise_to_host", op=op.value, n_bits=n_bits
         ) as sp:
-            sink = CommandBatch() if self.batch_commands else None
-
+            batch = CommandBatch()
             acct = OpAccounting()
             localities: Dict[OpLocality, int] = {}
-            bits = None
-            fast_path = False
-            if isinstance(sink, CommandBatch):
-                vectorized = self._vector_chunks_to_host(
-                    sink, op, scratch, sources, n_bits, n_chunks, acct, localities
-                )
-                if vectorized is not None:
-                    bits, total_steps = vectorized
-                    fast_path = True
-            if bits is None:
+            vectorized = self._vector_chunks_to_host(
+                batch, op, sources, n_bits, n_chunks, chunk_locs, acct,
+                localities,
+            )
+            fast_path = vectorized is not None
+            if fast_path:
+                bits, total_steps = vectorized
+            else:
                 total_steps = 0
                 parts = []
                 row_bits = self.geometry.row_bits
@@ -377,18 +326,17 @@ class PinatuboExecutor:
                     chunk_sources = [s[c] for s in sources]
                     host_chunks: List[np.ndarray] = []
                     total_steps += self._chunk_bitwise(
-                        op, scratch[c], chunk_sources, chunk_bits, acct, localities,
-                        sink, emit_host=True, host_chunks=host_chunks,
+                        batch, op, scratch[c], chunk_sources, chunk_bits,
+                        chunk_locs[c], acct, localities,
+                        emit_host=True, host_chunks=host_chunks,
                     )
-                    packed = host_chunks[-1]
                     parts.append(
-                        np.unpackbits(packed, bitorder="little")[:chunk_bits]
+                        np.unpackbits(host_chunks[-1], bitorder="little")[:chunk_bits]
                     )
                 bits = np.concatenate(parts)
-            if sink is not None:
-                acct.absorb(self.controller.execute_batch(sink))
-                if self.record_sink is not None:
-                    self.record_sink.append(("to_host", sink, fast_path))
+            acct.absorb(self.controller.execute_batch(batch))
+            if self.record_sink is not None:
+                self.record_sink.append(("to_host", batch, fast_path))
             acct.count_bits(n_bits * len(sources))
             sp.add(steps=total_steps)
             result = OpResult(
@@ -400,10 +348,10 @@ class PinatuboExecutor:
         self,
         batch: CommandBatch,
         op: PimOp,
-        scratch: List[int],
         sources: List[List[int]],
         n_bits: int,
         n_chunks: int,
+        chunk_localities: List[OpLocality],
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
     ) -> Optional[Tuple[np.ndarray, int]]:
@@ -414,7 +362,6 @@ class PinatuboExecutor:
         the final sensed rows never touch memory, so no aliasing check
         is needed.  Returns ``(bits, steps)`` or ``None``.
         """
-        chunk_localities = self._classify_chunks(scratch, sources, n_chunks)
         if op is not PimOp.INV:
             limit = max(2, self.limits.single_step_limit(op))
             if len(sources) > limit and any(
@@ -494,49 +441,36 @@ class PinatuboExecutor:
 
     def _bitwise_into(
         self,
-        sink: Union[CommandBatch, list, None],
+        batch: CommandBatch,
         op: PimOp,
         dest: List[int],
         sources: List[List[int]],
         n_bits: int,
         n_chunks: int,
         overlap_chunks: bool,
-        chunk_localities: Optional[List[OpLocality]] = None,
+        chunk_localities: List[OpLocality],
     ) -> Tuple[int, OpAccounting, Dict[OpLocality, int]]:
-        """Emit one logical operation's commands into ``sink``.
-
-        ``sink`` is a :class:`CommandBatch` (batched pricing; fenced per
-        combine step unless ``overlap_chunks``), a plain list (legacy
-        overlap path: one flat ``execute``), or ``None`` (legacy serial
-        path: one ``execute`` per combine step).
-        """
+        """Emit one logical operation's commands into ``batch``, fenced
+        per combine step unless ``overlap_chunks``."""
         acct = OpAccounting()
         localities: Dict[OpLocality, int] = {}
         fence_steps = not overlap_chunks
-        if isinstance(sink, CommandBatch):
-            steps = self._vector_chunks(
-                sink, op, dest, sources, n_bits, n_chunks, fence_steps,
-                chunk_localities, acct, localities,
-            )
-            if steps is not None:
-                return steps, acct, localities
+        steps = self._vector_chunks(
+            batch, op, dest, sources, n_bits, n_chunks, fence_steps,
+            chunk_localities, acct, localities,
+        )
+        if steps is not None:
+            return steps, acct, localities
         total_steps = 0
         row_bits = self.geometry.row_bits
         for c in range(n_chunks):
             chunk_bits = min(n_bits - c * row_bits, row_bits)
             chunk_sources = [s[c] for s in sources]
             total_steps += self._chunk_bitwise(
-                op, dest[c], chunk_sources, chunk_bits, acct, localities,
-                sink, fence_steps=fence_steps,
-                locality=chunk_localities[c] if chunk_localities else None,
+                batch, op, dest[c], chunk_sources, chunk_bits,
+                chunk_localities[c], acct, localities, fence_steps=fence_steps,
             )
         return total_steps, acct, localities
-
-    def _classify_chunks(
-        self, dest: List[int], sources: List[List[int]], n_chunks: int
-    ) -> List[OpLocality]:
-        """Locality of every chunk; :class:`PlacementError` on INTER_CHIP."""
-        return self._prevalidate_placement(dest, sources, n_chunks)
 
     def _vector_chunks(
         self,
@@ -547,7 +481,7 @@ class PinatuboExecutor:
         n_bits: int,
         n_chunks: int,
         fence_steps: bool,
-        chunk_localities: Optional[List[OpLocality]],
+        chunk_localities: List[OpLocality],
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
     ) -> Optional[int]:
@@ -562,8 +496,6 @@ class PinatuboExecutor:
         memory state are identical to the serial chunk loop; returns
         ``None`` when the request needs that general path.
         """
-        if chunk_localities is None:
-            chunk_localities = self._classify_chunks(dest, sources, n_chunks)
         if op is not PimOp.INV:
             limit = max(2, self.limits.single_step_limit(op))
             if len(sources) > limit and any(
@@ -622,39 +554,24 @@ class PinatuboExecutor:
 
     def _chunk_bitwise(
         self,
+        batch: CommandBatch,
         op: PimOp,
         dest: int,
         srcs: Sequence[int],
         chunk_bits: int,
+        locality: OpLocality,
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
-        sink: Union[CommandBatch, list, None] = None,
         emit_host: bool = False,
         host_chunks: Optional[List[np.ndarray]] = None,
         fence_steps: bool = True,
-        locality: Optional[OpLocality] = None,
     ) -> int:
         """One rank-row chunk: decompose into in-memory combine steps.
 
-        Folds cost and locality tallies into ``acct``/``localities`` in
-        place and returns the number of combine steps issued.  Pass
-        ``locality`` when the chunk was already classified (the
-        prevalidation pass of :meth:`bitwise_many`).
+        Tallies steps and localities into ``acct``/``localities`` in
+        place and returns the number of combine steps issued.
         """
-        self._set_mode(op, acct, sink)
-
-        if locality is None:
-            # Route by where this chunk's operands and destination live.
-            frames = list(srcs)
-            frames.append(dest)
-            locality = self.mapper.classify_frames(frames)
-        if locality is OpLocality.INTER_CHIP:
-            raise PlacementError(
-                "operands/destination span chips or channels; in-memory "
-                "bitwise operations require same-chip placement "
-                "(remap with the PIM-aware allocator)"
-            )
-
+        self._set_mode(op, acct, batch)
         if op is PimOp.INV or locality is not OpLocality.INTRA_SUBARRAY:
             # single combine step: INV, or the buffered path where the
             # global (or I/O) buffer accumulates every operand in one
@@ -662,8 +579,8 @@ class PinatuboExecutor:
             # constraint and does not apply there.
             operands = [srcs[0]] if op is PimOp.INV else list(srcs)
             return self._combine_step(
-                op, dest, operands, chunk_bits, acct, localities, locality,
-                sink, emit_host, fence_steps, host_chunks,
+                batch, op, dest, operands, chunk_bits, locality, acct,
+                localities, emit_host, fence_steps, host_chunks,
             )
 
         limit = max(2, self.limits.single_step_limit(op))
@@ -671,20 +588,17 @@ class PinatuboExecutor:
         # First pass: combine up to `limit` original operands.
         group = pending[: limit]
         pending = pending[limit:]
-        final = not pending
         steps = self._combine_step(
-            op, dest, group, chunk_bits, acct, localities, locality, sink,
-            emit_host and final, fence_steps, host_chunks,
+            batch, op, dest, group, chunk_bits, locality, acct, localities,
+            emit_host and not pending, fence_steps, host_chunks,
         )
         # Accumulate the rest: dest + up to (limit - 1) new operands per step.
         while pending:
             group = pending[: limit - 1]
             pending = pending[limit - 1 :]
-            operands = [dest] + group
-            final = not pending
             steps += self._combine_step(
-                op, dest, operands, chunk_bits, acct, localities, locality,
-                sink, emit_host and final, fence_steps, host_chunks,
+                batch, op, dest, [dest] + group, chunk_bits, locality, acct,
+                localities, emit_host and not pending, fence_steps, host_chunks,
             )
         return steps
 
@@ -692,36 +606,41 @@ class PinatuboExecutor:
         self,
         op: PimOp,
         acct: OpAccounting,
-        sink: Union[CommandBatch, list, None] = None,
+        batch: Optional[CommandBatch] = None,
     ) -> None:
-        if self._current_mode != op:
-            if isinstance(sink, CommandBatch):
-                # the MRS rides in the batch: its own fenced segment so
-                # its slot serialises exactly like a separate execute()
-                self.controller.mode_register = MODE_CODES[op]
-                sink.fence()
-                sink.add(CommandKind.MRS)
-                sink.fence()
-            else:
-                stats = self.controller.set_pim_mode(MODE_CODES[op])
-                acct.absorb(stats)
-            self._current_mode = op
+        """Issue the MRS that switches the PIM mode to ``op``, if needed.
+
+        The MRS rides in ``batch`` as its own fenced segment, so its slot
+        serialises like a separately issued command; without a batch it
+        is priced on its own and folded into ``acct``.
+        """
+        if self._current_mode == op:
+            return
+        self.controller.mode_register = MODE_CODES[op]
+        if batch is None:
+            acct.absorb(self.controller.execute_batch(self._mrs_batch))
+        else:
+            batch.fence()
+            batch.add(CommandKind.MRS)
+            batch.fence()
+        self._current_mode = op
 
     def _combine_step(
         self,
+        batch: CommandBatch,
         op: PimOp,
         dest: int,
         operands: Sequence[int],
         chunk_bits: int,
+        locality: OpLocality,
         acct: OpAccounting,
         localities: Dict[OpLocality, int],
-        locality: OpLocality,
-        sink: Union[CommandBatch, list, None] = None,
         emit_host: bool = False,
         fence_steps: bool = True,
         host_chunks: Optional[List[np.ndarray]] = None,
     ) -> int:
-        """Issue (or defer, when ``sink`` is given) one combine step.
+        """Emit one combine step into ``batch`` (its cost is priced with
+        the batch).
 
         The functional result is computed **once**: it both sizes the
         differential write (only flipped cells pay write energy) and is
@@ -737,25 +656,11 @@ class PinatuboExecutor:
             rows = list(rows)
             kind, c, _n_bits, n_steps, transfer = rows[wb_index]
             rows[wb_index] = (kind, c, changed, n_steps, transfer)
-        if isinstance(sink, CommandBatch):
-            sink.extend_rows(rows)
-            if fence_steps:
-                sink.fence()
-            # cost deferred to the batch; tally the locality now
-            counts = acct.locality_counts
-            counts[locality] = counts.get(locality, 0) + 1
-        else:
-            commands = [
-                Command(_KINDS[k], channel=c, n_bits=b, n_steps=s,
-                        transfer_bytes=t)
-                for k, c, b, s, t in rows
-            ]
-            if sink is None:
-                acct.absorb(self.controller.execute(commands), locality)
-            else:
-                sink.extend(commands)  # cost deferred to one flat execute
-                counts = acct.locality_counts
-                counts[locality] = counts.get(locality, 0) + 1
+        batch.extend_rows(rows)
+        if fence_steps:
+            batch.fence()
+        counts = acct.locality_counts
+        counts[locality] = counts.get(locality, 0) + 1
         acct.count_step()
         localities[locality] = localities.get(locality, 0) + 1
         if emit_host:

@@ -45,6 +45,17 @@ class PimOp(enum.Enum):
             raise ValueError(f"unknown PIM op {name!r}; known: {known}") from None
 
 
+#: MR4 mode-register code per operation (paper Fig. 4 hardware control):
+#: the executor's MRS, the driver's instruction encoding and the kernel
+#: compiler's replayed mode register all read this one table
+MODE_CODES = {
+    PimOp.OR: 0b001,
+    PimOp.AND: 0b010,
+    PimOp.XOR: 0b011,
+    PimOp.INV: 0b100,
+}
+
+
 @dataclass(frozen=True)
 class OperandLimits:
     """How many operand rows one in-memory step of each op may combine."""

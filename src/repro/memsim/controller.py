@@ -23,15 +23,17 @@ Command kinds map to the paper's operation anatomy:
 
 Two pricing paths produce identical accounting:
 
-- :meth:`MemoryController.execute` walks a Python list of
-  :class:`Command` objects, with a **memoized** per-command price
-  (command cost is a pure function of
-  ``(kind, n_bits, n_steps, transfer_bytes)`` for a fixed timing set);
 - :meth:`MemoryController.execute_batch` prices a whole
   :class:`CommandBatch` -- a structure-of-arrays command stream -- with
-  numpy reductions per channel, which is what the execution engine uses
-  on its hot path (one batch per logical operation instead of one
-  ``execute`` call per row frame).
+  numpy reductions per channel; every command the execution engine
+  emits is priced this way;
+- :meth:`MemoryController.execute` is the reference interpreter: it
+  walks a Python list of :class:`Command` objects with a **memoized**
+  per-command price (command cost is a pure function of
+  ``(kind, n_bits, n_steps, transfer_bytes)`` for a fixed timing set).
+  The analytic :class:`~repro.core.model.PinatuboModel` and the figure
+  sweeps price through it, and the equivalence tests re-price recorded
+  batches through it.
 
 A :class:`CommandBatch` carries *fences*: serialisation barriers that
 reproduce the latency semantics of issuing the fenced segments through
@@ -44,7 +46,6 @@ from __future__ import annotations
 import enum
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -211,15 +212,6 @@ class PerfCounters:
             f"price-cache hit rate {100.0 * self.cache_hit_rate:.1f}%, "
             f"engine wall {self.wall_s:.3f}s"
         )
-
-    def summary_line(self) -> str:
-        """Deprecated alias for :meth:`summary`."""
-        warnings.warn(
-            "PerfCounters.summary_line() is deprecated; use summary()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.summary()
 
 
 PERF_DEBUG: bool = os.environ.get("REPRO_PERF_DEBUG", "") not in ("", "0")
@@ -529,7 +521,8 @@ class MemoryController:
         With ``split_ops=True`` the batch's :meth:`CommandBatch.mark`
         boundaries are honoured and the result is ``(total, per_op)``
         where ``per_op[i]`` is the :class:`ExecutionStats` of the i-th
-        marked operation alone.
+        marked operation alone (for a single marked operation, the
+        ``total`` object itself).
 
         Batches whose columns never change (the kernel compiler's frozen
         serve/to-host batches) set ``price_memo_ok``: pricing is a pure
@@ -650,7 +643,12 @@ class MemoryController:
             )
 
             per_op = None
-            if split_ops:
+            if split_ops and len(batch.op_starts) == 1:
+                # a one-op batch's stats are the batch's own; summing them
+                # a second time, in another order, could differ in the
+                # last bit
+                per_op = [stats]
+            elif split_ops:
                 per_op = self._split_op_stats(
                     batch, kinds, channels, energy, bus_cmds, bus_bytes,
                     bus_t, bus_energy, seg_latency,

@@ -50,8 +50,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.core.executor import MODE_CODES, OpResult
-from repro.core.ops import PimOp
+from repro.core.executor import OpResult
+from repro.core.ops import MODE_CODES, PimOp
 from repro.core.stats import OpAccounting
 from repro.core.bitops import popcount_packed, popcount_rows
 from repro.memsim.controller import CommandKind, KIND_CODES
@@ -496,7 +496,6 @@ class WaveProgram:
     """
 
     __slots__ = (
-        "split",        # True: bitwise_many pricing (marked batch, split)
         "frozen",
         "order",        # submission -> execution permutation
         "mode_code", "mode_out",
@@ -554,12 +553,7 @@ class WaveProgram:
 
         executor.controller.mode_register = self.mode_code
         executor._current_mode = self.mode_out
-        if self.split:
-            _, per_op = executor.controller.execute_batch(
-                self.frozen, split_ops=True
-            )
-        else:
-            per_op = [executor.controller.execute_batch(self.frozen)]
+        _, per_op = executor.controller.execute_batch(self.frozen, split_ops=True)
 
         memory.write_frames(store_frames, new_rows)
 
@@ -619,10 +613,7 @@ def build_wave_program(
     n = len(exec_items)
     if len(recorded) != 1:
         return None
-    flavor, batch = recorded[0][0], recorded[0][1]
-    split = n > 1
-    if flavor != ("many" if split else "single"):
-        return None
+    batch = recorded[0][1]
     for it, result in zip(exec_items, flush_results):
         if result.steps != it.n_chunks:
             return None
@@ -632,7 +623,6 @@ def build_wave_program(
             return None
 
     prog = WaveProgram()
-    prog.split = split
     prog.frozen = freeze_batch(batch)
     prog.order = list(order)
     prog.n_requests = n

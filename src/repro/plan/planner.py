@@ -94,10 +94,7 @@ _MAX_BINDINGS = 8192
 
 _CSE_HITS = telemetry.counter("plan.cse_hits")
 _PLANNED = telemetry.counter("plan.requests")
-#: canonical serve-replay counter; the historical ``plan.compile.*``
-#: name is kept as a compatibility alias (both bump in lock-step)
 _SERVE_REPLAYS = telemetry.counter("plan.serve.replays")
-_SERVE_REPLAYS_COMPAT = telemetry.counter("plan.compile.serve_replays")
 
 
 def _serve_commands(batch, geometry, channel_of, dest_frames, n_bits):
@@ -714,7 +711,6 @@ class QueryPlanner:
         stats.waves += 1
         stats.serve_replays += 1
         _SERVE_REPLAYS.add()
-        _SERVE_REPLAYS_COMPAT.add()
         with telemetry.span("plan.cache.serve", served=k):
             farrs = []
             rows_parts = []
@@ -1009,7 +1005,7 @@ class QueryPlanner:
                 it.req.op, it.req.dest, it.req.sources, it.req.n_bits,
                 it.req.overlap_chunks,
             )
-        return driver.flush(batched=True)
+        return driver.flush()
 
     def execute_to_host(
         self,

@@ -191,29 +191,29 @@ class PimDriver:
                 remaining.pop(i)
         return order
 
-    def flush(self, batched: bool = False) -> List[OpResult]:
+    def flush(self) -> List[OpResult]:
         """Issue every queued request; returns the per-request results.
 
         Results come back in **submission order** regardless of how the
         scheduler reordered execution, so callers can zip them against
         what they queued.
 
-        With ``batched=True`` (and a batching executor) the whole
-        reordered stream is priced as **one** command batch through
-        :meth:`PinatuboExecutor.bitwise_many`; per-request results are
-        identical to the sequential path.  If any request's placement
-        is in-memory-infeasible, the stream falls back to the
-        per-request path so individual requests can take the host
+        The whole reordered stream is priced as **one** command batch
+        through :meth:`PinatuboExecutor.bitwise_many`.  If any request's
+        placement is in-memory-infeasible, the stream is retried one
+        request at a time so individual requests can take the host
         fallback -- ``bitwise_many`` validates placement before touching
         any state, which is what makes the retry safe.
         """
-        with telemetry.span("runtime.driver.flush", batched=batched) as sp:
+        with telemetry.span("runtime.driver.flush") as sp:
             batch, self._queue = self._queue, []
             order = self._reorder(batch)
             self.last_order = order
             ordered = [batch[i] for i in order]
             sp.add(requests=len(ordered))
             _FLUSHES.add()
+            if not ordered:
+                return []
             last_op = None
             for req in ordered:
                 if req.op != last_op:
@@ -230,52 +230,47 @@ class PimDriver:
                 decoded = decode_instruction(encode_instruction(instr))
                 assert decoded == instr
 
-            if batched and self.executor.batch_commands and len(ordered) > 1:
-                try:
-                    results = self.executor.bitwise_many(
-                        [
-                            (
-                                req.op,
-                                list(req.dest.frames),
-                                [list(s.frames) for s in req.sources],
-                                req.n_bits,
-                                req.overlap_chunks,
-                            )
-                            for req in ordered
-                        ]
-                    )
-                except PlacementError:
-                    results = None  # retry request-by-request with host fallback
-                if results is not None:
-                    for result in results:
-                        self.stats.instructions += 1
-                        self.stats.accounting = self.stats.accounting.merged(
-                            result.accounting
+            try:
+                results = self.executor.bitwise_many(
+                    [
+                        (
+                            req.op,
+                            list(req.dest.frames),
+                            [list(s.frames) for s in req.sources],
+                            req.n_bits,
+                            req.overlap_chunks,
                         )
-                    return _submission_order(order, results)
-
-            results = []
-            for req in ordered:
-                try:
-                    result = self.executor.bitwise(
-                        req.op,
-                        list(req.dest.frames),
-                        [list(s.frames) for s in req.sources],
-                        req.n_bits,
-                        overlap_chunks=req.overlap_chunks,
-                    )
-                except PlacementError:
-                    # operands span chips/channels: the memory cannot combine
-                    # them, so the driver falls back to the host path (read
-                    # every operand over the bus, compute, write back) -- the
-                    # cost the PIM-aware allocator exists to avoid
-                    result = self._host_fallback(req)
-                    self.stats.host_fallbacks += 1
-                    _HOST_FALLBACKS.add()
+                        for req in ordered
+                    ]
+                )
+            except PlacementError:
+                results = [self._execute_one(req) for req in ordered]
+            for result in results:
                 self.stats.instructions += 1
-                self.stats.accounting = self.stats.accounting.merged(result.accounting)
-                results.append(result)
+                self.stats.accounting = self.stats.accounting.merged(
+                    result.accounting
+                )
             return _submission_order(order, results)
+
+    def _execute_one(self, req: PimRequest) -> OpResult:
+        """Retry path: one request in memory, or on the host if its
+        operands span chips/channels."""
+        try:
+            return self.executor.bitwise(
+                req.op,
+                list(req.dest.frames),
+                [list(s.frames) for s in req.sources],
+                req.n_bits,
+                overlap_chunks=req.overlap_chunks,
+            )
+        except PlacementError:
+            # the memory cannot combine them, so the driver falls back to
+            # the host path (read every operand over the bus, compute,
+            # write back) -- the cost the PIM-aware allocator exists to
+            # avoid
+            self.stats.host_fallbacks += 1
+            _HOST_FALLBACKS.add()
+            return self._host_fallback(req)
 
     def _host_fallback(self, req: PimRequest) -> OpResult:
         """Execute one request on the host: bus reads + CPU op + write."""
@@ -317,4 +312,4 @@ class PimDriver:
         flush them as one command batch (see :meth:`flush`)."""
         for req in requests:
             self.submit(*req)
-        return self.flush(batched=True)
+        return self.flush()

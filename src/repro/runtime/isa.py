@@ -13,15 +13,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.core.ops import PimOp
+from repro.core.ops import MODE_CODES, PimOp
 
-#: MR4 register codes (also used by the executor).
-MODE_CODES = {
-    PimOp.OR: 0b001,
-    PimOp.AND: 0b010,
-    PimOp.XOR: 0b011,
-    PimOp.INV: 0b100,
-}
 _CODE_TO_OP = {v: k for k, v in MODE_CODES.items()}
 
 #: wire format: magic, op code, flags, dest frame, operand count, length

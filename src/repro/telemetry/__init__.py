@@ -14,7 +14,7 @@ Instrumented layers and their span names:
 
 - ``memsim.controller.execute`` / ``memsim.controller.execute_batch`` --
   the leaves where simulated latency/energy is attributed
-- ``core.executor.bitwise`` / ``.bitwise_many`` / ``.bitwise_to_host``
+- ``core.executor.bitwise_many`` (single ops too) / ``.bitwise_to_host``
 - ``runtime.driver.flush``
 - ``backends.<name>.bitwise`` / ``.bitwise_many``
 - ``app.fastbit.query`` / ``.query_many``, ``app.bitvector.apply_many``,

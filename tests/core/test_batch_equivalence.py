@@ -1,12 +1,17 @@
-"""Batched vs per-command pricing must be indistinguishable.
+"""Batched pricing must agree with the reference interpreter.
 
-The acceptance bar for the batched execution engine: for identical
-workloads, the batched path (``batch_commands=True``, the default) and
-the legacy per-``execute`` path produce
+The executor emits every operation as one :class:`CommandBatch` priced
+by ``MemoryController.execute_batch``.  The scalar
+``MemoryController.execute`` is kept as the reference interpreter: each
+batch the executor emits is captured through ``record_sink`` and
+re-priced one fenced segment at a time through ``execute`` on a fresh
+controller.  The two must show
 
 - identical command counts and per-kind energy breakdowns,
 - latency and energy within 1e-12 relative,
-- identical functional memory contents and bus ledgers.
+- identical bus ledgers,
+
+and the memory contents must equal a numpy oracle.
 """
 
 import numpy as np
@@ -14,8 +19,14 @@ import pytest
 
 from repro.core.executor import PlacementError
 from repro.core.pinatubo import PinatuboSystem
-from repro.memsim.address import RowAddress
-from repro.memsim.controller import Command, CommandBatch, CommandKind
+from repro.memsim.address import OpLocality, RowAddress
+from repro.memsim.controller import (
+    Command,
+    CommandBatch,
+    CommandKind,
+    ExecutionStats,
+    MemoryController,
+)
 from repro.memsim.geometry import MemoryGeometry
 from repro.memsim.timing import nvm_timing
 from repro.nvm.technology import get_technology
@@ -35,13 +46,13 @@ GEOM = MemoryGeometry(
 )
 
 
-def make_system(batch_commands: bool, max_rows=4) -> PinatuboSystem:
-    return PinatuboSystem(
-        get_technology("pcm"),
-        GEOM,
-        max_rows=max_rows,
-        batch_commands=batch_commands,
-    )
+_KINDS = tuple(CommandKind)
+
+_UFUNCS = {"or": np.bitwise_or, "and": np.bitwise_and, "xor": np.bitwise_xor}
+
+
+def make_system(max_rows=4) -> PinatuboSystem:
+    return PinatuboSystem(get_technology("pcm"), GEOM, max_rows=max_rows)
 
 
 def subarray_frames(system: PinatuboSystem, bank: int, sub: int) -> list:
@@ -76,6 +87,82 @@ def assert_result_equal(a, b):
     assert a.steps == b.steps
     assert a.localities == b.localities
     assert_accounting_equal(a.accounting, b.accounting)
+
+
+def segments_of(batch, start=0, stop=None):
+    """The batch's commands in ``[start, stop)`` as one :class:`Command`
+    list per fenced segment."""
+    stop = len(batch) if stop is None else stop
+    out = []
+    last = None
+    for i in range(start, stop):
+        if batch.segments[i] != last:
+            out.append([])
+            last = batch.segments[i]
+        out[-1].append(
+            Command(
+                _KINDS[batch.kinds[i]],
+                channel=batch.channels[i],
+                n_bits=batch.n_bits[i],
+                n_steps=batch.n_steps[i],
+                transfer_bytes=batch.transfer_bytes[i],
+            )
+        )
+    return out
+
+
+def reference_price(controller, batch, start=0, stop=None) -> ExecutionStats:
+    """Re-price ``batch[start:stop]`` through the reference interpreter,
+    one ``execute`` call per fenced segment (segment latencies add)."""
+    total = ExecutionStats()
+    for commands in segments_of(batch, start, stop):
+        total = total.merged(controller.execute(commands))
+    return total
+
+
+def op_ranges(batch):
+    """``(start, stop)`` command range of every marked operation."""
+    bounds = list(batch.op_starts) + [len(batch)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def assert_stats_match(acct, ref):
+    """An executor accounting against its reference re-pricing."""
+    assert acct.latency == pytest.approx(ref.latency, rel=REL)
+    assert acct.energy == pytest.approx(ref.energy, rel=REL)
+    assert acct.bus_commands == ref.bus.commands
+    assert acct.bus_data_bytes == ref.bus.data_bytes
+    assert set(acct.energy_by_kind) == set(ref.energy_by_kind)
+    for kind, e in acct.energy_by_kind.items():
+        assert e == pytest.approx(ref.energy_by_kind[kind], rel=REL)
+
+
+def assert_batch_matches_reference(batch):
+    """execute_batch and segment-wise execute agree on a recorded batch."""
+    timing = nvm_timing(get_technology("pcm"))
+    batched = MemoryController(GEOM, timing).execute_batch(batch)
+    ref = reference_price(MemoryController(GEOM, timing), batch)
+    assert batched.counts == ref.counts
+    assert batched.latency == pytest.approx(ref.latency, rel=REL)
+    assert batched.energy == pytest.approx(ref.energy, rel=REL)
+    assert set(batched.energy_by_kind) == set(ref.energy_by_kind)
+    for kind, e in batched.energy_by_kind.items():
+        assert e == pytest.approx(ref.energy_by_kind[kind], rel=REL)
+
+
+def assert_buses_match(controller, ref_controller):
+    for bus_a, bus_b in zip(controller.buses, ref_controller.buses):
+        assert bus_a.stats.commands == bus_b.stats.commands
+        assert bus_a.stats.data_bytes == bus_b.stats.data_bytes
+        assert bus_a.stats.busy_time == pytest.approx(bus_b.stats.busy_time, rel=REL)
+        assert bus_a.stats.energy == pytest.approx(bus_b.stats.energy, rel=REL)
+
+
+def oracle_rows(op, rows):
+    """Numpy oracle of one combine over packed rows."""
+    if op == "inv":
+        return np.bitwise_not(rows[0])
+    return _UFUNCS[op].reduce(np.stack(rows), axis=0)
 
 
 def assert_systems_equal(sys_a, sys_b, frames):
@@ -172,109 +259,170 @@ class TestControllerLevel:
                 merged_counts[kind] = merged_counts.get(kind, 0) + n
         assert merged_counts == total.counts
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_op_split_is_the_total(self, timing, seed):
+        """A stream of one prices exactly like the unsplit batch, so a
+        single op costs the same whether or not it was split."""
+        from repro.memsim.controller import MemoryController
+
+        batch = CommandBatch()
+        batch.mark()
+        for commands in self._random_segments(seed, n_segments=12):
+            batch.extend(commands)
+            batch.fence()
+        total = MemoryController(GEOM, timing).execute_batch(batch)
+        _, (alone,) = MemoryController(GEOM, timing).execute_batch(
+            batch, split_ops=True
+        )
+        assert alone.latency == total.latency
+        assert alone.energy == total.energy
+        assert alone.energy_by_kind == total.energy_by_kind
+        assert alone.bus.busy_time == total.bus.busy_time
+        assert alone.bus.energy == total.bus.energy
+
 
 class TestExecutorLevel:
-    """bitwise()/bitwise_to_host() batched vs legacy on fixed workloads."""
+    """Every batch the executor emits, re-priced through the reference
+    interpreter, matches the executor's own accounting."""
 
-    def _pair(self, max_rows=4):
-        sys_a = make_system(batch_commands=False, max_rows=max_rows)
-        sys_b = make_system(batch_commands=True, max_rows=max_rows)
-        return sys_a, sys_b
+    @pytest.fixture(autouse=True)
+    def _reference_controllers(self):
+        self.refs = {}
+
+    def _run(self, system, call, *args, **kwargs):
+        """Run one executor call with batch recording; returns the call's
+        result, the recorded batches and the system's reference
+        controller (the one its batches are re-priced on)."""
+        system.executor.record_sink = recorded = []
+        try:
+            out = call(*args, **kwargs)
+        finally:
+            system.executor.record_sink = None
+        ref_ctrl = self.refs.setdefault(
+            id(system), MemoryController(GEOM, system.timing)
+        )
+        for entry in recorded:
+            assert_batch_matches_reference(entry[1])
+        return out, [entry[1] for entry in recorded], ref_ctrl
+
+    def _check_bitwise(self, system, *args, **kwargs):
+        result, batches, ref_ctrl = self._run(
+            system, system.executor.bitwise, *args, **kwargs
+        )
+        assert len(batches) == 1
+        ref = reference_price(ref_ctrl, batches[0])
+        assert_stats_match(result.accounting, ref)
+        assert_buses_match(system.controller, ref_ctrl)
+        return result
 
     def test_wide_or_with_accumulation(self):
-        sys_a, sys_b = self._pair(max_rows=4)
-        frames = subarray_frames(sys_a, bank=0, sub=0)
+        system = make_system(max_rows=4)
+        frames = subarray_frames(system, bank=0, sub=0)
         sources = [[f] for f in frames[:10]]
         dest = [frames[10]]
-        fill_frames((sys_a, sys_b), frames[:10], seed=1)
-        res_a = sys_a.executor.bitwise("or", dest, sources, GEOM.row_bits)
-        res_b = sys_b.executor.bitwise("or", dest, sources, GEOM.row_bits)
-        assert res_a.steps > 1  # accumulation actually decomposed
-        assert_result_equal(res_a, res_b)
-        assert_systems_equal(sys_a, sys_b, frames[:11])
+        fill_frames((system,), frames[:10], seed=1)
+        expect = oracle_rows("or", [system.memory.frame_bytes(f) for f in frames[:10]])
+        res = self._check_bitwise(system, "or", dest, sources, GEOM.row_bits)
+        assert res.steps > 1  # accumulation actually decomposed
+        assert np.array_equal(system.memory.frame_bytes(dest[0]), expect)
 
     @pytest.mark.parametrize("op,n_src", [("and", 2), ("xor", 2), ("inv", 1)])
     def test_two_operand_ops(self, op, n_src):
-        sys_a, sys_b = self._pair()
-        frames = subarray_frames(sys_a, bank=0, sub=0)
-        fill_frames((sys_a, sys_b), frames[: n_src], seed=2)
+        system = make_system()
+        frames = subarray_frames(system, bank=0, sub=0)
+        fill_frames((system,), frames[: n_src], seed=2)
+        expect = oracle_rows(op, [system.memory.frame_bytes(f) for f in frames[:n_src]])
         sources = [[f] for f in frames[:n_src]]
         dest = [frames[n_src]]
-        res_a = sys_a.executor.bitwise(op, dest, sources, GEOM.row_bits)
-        res_b = sys_b.executor.bitwise(op, dest, sources, GEOM.row_bits)
-        assert_result_equal(res_a, res_b)
-        assert_systems_equal(sys_a, sys_b, frames[: n_src + 1])
+        self._check_bitwise(system, op, dest, sources, GEOM.row_bits)
+        assert np.array_equal(system.memory.frame_bytes(dest[0]), expect)
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_multi_chunk_vector(self, overlap):
-        sys_a, sys_b = self._pair()
-        frames = subarray_frames(sys_a, bank=0, sub=0)
+        system = make_system()
+        frames = subarray_frames(system, bank=0, sub=0)
         n_bits = 2 * GEOM.row_bits + 100  # 3 chunks, last one partial
         src1, src2, dest = frames[0:3], frames[3:6], frames[6:9]
-        fill_frames((sys_a, sys_b), src1 + src2, seed=3)
-        res_a = sys_a.executor.bitwise(
-            "or", dest, [src1, src2], n_bits, overlap_chunks=overlap
+        fill_frames((system,), src1 + src2, seed=3)
+        mem = system.memory
+        expect = [
+            oracle_rows("or", [mem.frame_bytes(a), mem.frame_bytes(b)])
+            for a, b in zip(src1, src2)
+        ]
+        self._check_bitwise(
+            system, "or", dest, [src1, src2], n_bits, overlap_chunks=overlap
         )
-        res_b = sys_b.executor.bitwise(
-            "or", dest, [src1, src2], n_bits, overlap_chunks=overlap
-        )
-        assert_result_equal(res_a, res_b)
-        assert_systems_equal(sys_a, sys_b, frames[:9])
+        for frame, rows in zip(dest, expect):
+            assert np.array_equal(mem.frame_bytes(frame), rows)
 
     def test_inter_subarray_and_inter_bank(self):
-        sys_a, sys_b = self._pair()
-        f_sub0 = subarray_frames(sys_a, bank=0, sub=0)
-        f_sub1 = subarray_frames(sys_a, bank=0, sub=1)
-        f_bank1 = subarray_frames(sys_a, bank=1, sub=0)
-        fill_frames((sys_a, sys_b), [f_sub0[0], f_sub1[0], f_bank1[0]], seed=4)
+        system = make_system()
+        mem = system.memory
+        f_sub0 = subarray_frames(system, bank=0, sub=0)
+        f_sub1 = subarray_frames(system, bank=0, sub=1)
+        f_bank1 = subarray_frames(system, bank=1, sub=0)
+        fill_frames((system,), [f_sub0[0], f_sub1[0], f_bank1[0]], seed=4)
+        a, b, c = (mem.frame_bytes(f) for f in (f_sub0[0], f_sub1[0], f_bank1[0]))
         # inter-subarray: sources in different subarrays of one bank
-        res_a = sys_a.executor.bitwise(
-            "or", [f_sub0[1]], [[f_sub0[0]], [f_sub1[0]]], GEOM.row_bits
+        res = self._check_bitwise(
+            system, "or", [f_sub0[1]], [[f_sub0[0]], [f_sub1[0]]], GEOM.row_bits
         )
-        res_b = sys_b.executor.bitwise(
-            "or", [f_sub0[1]], [[f_sub0[0]], [f_sub1[0]]], GEOM.row_bits
-        )
-        assert_result_equal(res_a, res_b)
+        assert set(res.localities) == {OpLocality.INTER_SUBARRAY}
         # inter-bank: sources in different banks of one chip
-        res_a = sys_a.executor.bitwise(
-            "and", [f_sub0[2]], [[f_sub0[0]], [f_bank1[0]]], GEOM.row_bits
+        res = self._check_bitwise(
+            system, "and", [f_sub0[2]], [[f_sub0[0]], [f_bank1[0]]], GEOM.row_bits
         )
-        res_b = sys_b.executor.bitwise(
-            "and", [f_sub0[2]], [[f_sub0[0]], [f_bank1[0]]], GEOM.row_bits
+        assert set(res.localities) == {OpLocality.INTER_BANK}
+        assert np.array_equal(mem.frame_bytes(f_sub0[1]), a | b)
+        assert np.array_equal(mem.frame_bytes(f_sub0[2]), a & c)
+
+    def _check_to_host(self, max_rows):
+        system = make_system(max_rows=max_rows)
+        frames = subarray_frames(system, bank=0, sub=0)
+        fill_frames((system,), frames[:6], seed=5)
+        sources = [[f] for f in frames[:6]]
+        expect = oracle_rows("or", [system.memory.frame_bytes(f) for f in frames[:6]])
+        (bits, res), batches, ref_ctrl = self._run(
+            system, system.executor.bitwise_to_host,
+            "or", [frames[6]], sources, GEOM.row_bits,
         )
-        assert_result_equal(res_a, res_b)
-        assert_systems_equal(sys_a, sys_b, f_sub0[:3])
+        assert len(batches) == 1
+        assert_stats_match(res.accounting, reference_price(ref_ctrl, batches[0]))
+        assert_buses_match(system.controller, ref_ctrl)
+        assert np.array_equal(bits, np.unpackbits(expect, bitorder="little"))
+        return res
 
     def test_bitwise_to_host(self):
-        sys_a, sys_b = self._pair()
-        frames = subarray_frames(sys_a, bank=0, sub=0)
-        fill_frames((sys_a, sys_b), frames[:6], seed=5)
-        sources = [[f] for f in frames[:6]]
-        bits_a, res_a = sys_a.executor.bitwise_to_host(
-            "or", [frames[6]], sources, GEOM.row_bits
-        )
-        bits_b, res_b = sys_b.executor.bitwise_to_host(
-            "or", [frames[6]], sources, GEOM.row_bits
-        )
-        assert np.array_equal(bits_a, bits_b)
-        assert_result_equal(res_a, res_b)
+        # 6 operands over a 4-row limit: accumulation through the scratch row
+        assert self._check_to_host(max_rows=4).steps == 2
+
+    def test_bitwise_to_host_single_step(self):
+        # within the sensing limit: the row-parallel fast path
+        assert self._check_to_host(max_rows=8).steps == 1
 
     def test_host_vector_paths(self):
-        sys_a, sys_b = self._pair()
-        frames = subarray_frames(sys_a, bank=0, sub=0)
+        """write_vector/read_vector batches (not recorded: they carry no
+        bitwise op) re-priced through the reference interpreter."""
+        system = make_system()
+        frames = subarray_frames(system, bank=0, sub=0)
         rng = np.random.default_rng(6)
         n_bits = GEOM.row_bits + 77
         bits = rng.integers(0, 2, size=n_bits).astype(np.uint8)
-        acct_a = sys_a.executor.write_vector(frames[:2], bits)
-        acct_b = sys_b.executor.write_vector(frames[:2], bits)
-        assert acct_a.latency == pytest.approx(acct_b.latency, rel=REL)
-        assert acct_a.energy == pytest.approx(acct_b.energy, rel=REL)
-        out_a, racct_a = sys_a.executor.read_vector(frames[:2], n_bits)
-        out_b, racct_b = sys_b.executor.read_vector(frames[:2], n_bits)
-        assert np.array_equal(out_a, bits)
-        assert np.array_equal(out_b, bits)
-        assert racct_a.latency == pytest.approx(racct_b.latency, rel=REL)
-        assert racct_a.energy == pytest.approx(racct_b.energy, rel=REL)
+        priced = []
+        execute_batch = system.controller.execute_batch
+        system.controller.execute_batch = lambda batch, **kw: (
+            priced.append(batch) or execute_batch(batch, **kw)
+        )
+        ref_ctrl = MemoryController(GEOM, system.timing)
+        acct = system.executor.write_vector(frames[:2], bits)
+        assert_stats_match(acct, reference_price(ref_ctrl, priced[-1]))
+        out, racct = system.executor.read_vector(frames[:2], n_bits)
+        assert_stats_match(racct, reference_price(ref_ctrl, priced[-1]))
+        assert len(priced) == 2
+        for batch in priced:
+            assert_batch_matches_reference(batch)
+        assert_buses_match(system.controller, ref_ctrl)
+        assert np.array_equal(out, bits)
 
 
 class TestBitwiseMany:
@@ -289,8 +437,8 @@ class TestBitwiseMany:
         ]
 
     def test_stream_matches_sequential(self):
-        sys_a = make_system(batch_commands=True)
-        sys_b = make_system(batch_commands=True)
+        sys_a = make_system()
+        sys_b = make_system()
         frames, requests = self._workload(sys_a)
         fill_frames((sys_a, sys_b), frames[:5], seed=7)
         seq = [sys_a.executor.bitwise(*req) for req in requests]
@@ -300,8 +448,32 @@ class TestBitwiseMany:
             assert_result_equal(res_a, res_b)
         assert_systems_equal(sys_a, sys_b, frames[:12])
 
+    def test_stream_matches_reference_per_op(self):
+        """Each marked operation of one stream, re-priced alone through
+        the reference interpreter, matches its split-out result; the
+        written rows match a numpy oracle of the dependent chain."""
+        system = make_system()
+        frames, requests = self._workload(system)
+        fill_frames((system,), frames[:5], seed=7)
+        rows = {f: system.memory.frame_bytes(f) for f in frames[:5]}
+        system.executor.record_sink = recorded = []
+        results = system.executor.bitwise_many(requests)
+        system.executor.record_sink = None
+        assert [entry[0] for entry in recorded] == ["many"]
+        batch = recorded[0][1]
+        assert_batch_matches_reference(batch)
+        ref_ctrl = MemoryController(GEOM, system.timing)
+        for result, (start, stop) in zip(results, op_ranges(batch)):
+            assert_stats_match(
+                result.accounting, reference_price(ref_ctrl, batch, start, stop)
+            )
+        assert_buses_match(system.controller, ref_ctrl)
+        for op, dest, sources, _n in requests:
+            rows[dest[0]] = oracle_rows(op, [rows[s[0]] for s in sources])
+            assert np.array_equal(system.memory.frame_bytes(dest[0]), rows[dest[0]])
+
     def test_placement_prevalidation_leaves_state_untouched(self):
-        system = make_system(batch_commands=True)
+        system = make_system()
         frames = subarray_frames(system, bank=0, sub=0)
         fill_frames((system,), frames[:2], seed=8)
         # second request spans channels -> inter-chip -> PlacementError
@@ -318,3 +490,71 @@ class TestBitwiseMany:
         assert system.memory.total_writes == writes_before
         for bus in system.controller.buses:
             assert bus.stats.commands == 0
+
+
+class TestOneEmissionPath:
+    """The serving stack prices everything through ``execute_batch``:
+    nothing above the reference interpreter calls scalar ``execute``."""
+
+    @staticmethod
+    def _scalar_calls():
+        from repro.memsim.controller import perf_counters
+
+        return (
+            perf_counters.streams,
+            perf_counters.scalar_commands,
+            perf_counters.cache_hits + perf_counters.cache_misses,
+        )
+
+    def test_runtime_and_service_make_no_scalar_execute_calls(self):
+        from repro.runtime.api import PimRuntime
+        from repro.service import BitmapQueryService, ServiceClient
+
+        before = self._scalar_calls()
+        rng = np.random.default_rng(12)
+        n = 2 * GEOM.row_bits + 100
+        for plan in (False, True):
+            rt = PimRuntime(make_system(), plan=plan)
+            vecs = [rt.pim_malloc(n, "g") for _ in range(4)]
+            data = [rng.integers(0, 2, n, dtype=np.uint8) for _ in vecs]
+            for handle, bits in zip(vecs, data):
+                rt.pim_write(handle, bits)
+            a, b, c, d = vecs
+            out = [rt.pim_malloc(n, "g") for _ in range(4)]
+            rt.pim_op("or", out[0], [a, b])          # single ops
+            rt.pim_op("and", out[1], [c, d])
+            rt.pim_op("inv", out[2], [a])
+            rt.pim_op_many([("xor", out[3], [a, c]), ("or", out[2], [b, d])])
+            assert np.array_equal(rt.pim_read(out[0]), data[0] | data[1])
+            scratch = rt.pim_malloc(n, "g")
+            bits = rt.pim_op_to_host("and", scratch, [a, b])
+            assert np.array_equal(bits, data[0] & data[1])
+            assert rt.pim_popcount("or", scratch, [c, d]) == int(
+                (data[2] | data[3]).sum()
+            )
+            if plan:
+                # overwrite a leaf of the cached OR entry while the mode
+                # register holds AND: the repair issues its own MRS
+                rt.pim_op("and", out[1], [c, d])
+                rt.pim_write(a, rng.integers(0, 2, n, dtype=np.uint8))
+                assert rt.plan_stats.repairs >= 1
+
+        service = BitmapQueryService()
+        client = ServiceClient(service)
+        client.register_tenant("t")
+        n_svc = 4096
+        client.load_vectors(
+            "t", {f"v{i}": rng.integers(0, 2, n_svc, dtype=np.uint8) for i in range(3)}
+        )
+        client.load_bitslice_column(
+            "t", "x", rng.integers(0, 16, n_svc).astype(np.int64), 4
+        )
+        sub = client.subscribe("t", "or", ("v0", "v1"))
+        client.query("t", "and", ("v0", "v1"))
+        client.query("t", "xor", ("v1", "v2"))
+        client.update("t", "v0", rng.integers(0, 2, n_svc, dtype=np.uint8))
+        client.analyze("t", [("cmp", "x", "ge", 5, 4)], ("count",))
+        client.run()
+        assert sub.notifications
+
+        assert self._scalar_calls() == before

@@ -39,7 +39,7 @@ RTOL = 1e-9
 
 
 def _runtime(compile_: bool = True, repair: bool = True) -> PimRuntime:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
     return PimRuntime(system, plan=True, compile=compile_, repair=repair)
 
 
@@ -204,9 +204,7 @@ class TestCompiledVsInterpretedFastBit:
         oracle = FastBitDB(table, functional=False)
 
         def build(compile_):
-            system = PinatuboSystem(
-                get_technology("pcm"), FB_GEOM, batch_commands=True
-            )
+            system = PinatuboSystem(get_technology("pcm"), FB_GEOM)
             rt = PimRuntime(system, plan=True, compile=compile_)
             return PimFastBit(rt, table)
 
@@ -314,9 +312,7 @@ class TestEscapeHatch:
         assert len(rt.planner.programs) == 0
 
     def test_compile_on_by_default(self):
-        system = PinatuboSystem(
-            get_technology("pcm"), GEOM, batch_commands=True
-        )
+        system = PinatuboSystem(get_technology("pcm"), GEOM)
         rt = PimRuntime(system, plan=True)
         assert rt.planner.compile_enabled
 

@@ -26,7 +26,7 @@ N = 3 * GEOM.row_bits  # three chunks per vector
 
 
 def _runtime(**kwargs) -> PimRuntime:
-    system = PinatuboSystem(get_technology("pcm"), GEOM, batch_commands=True)
+    system = PinatuboSystem(get_technology("pcm"), GEOM)
     return PimRuntime(system, plan=True, **kwargs)
 
 
@@ -236,9 +236,7 @@ class TestSubResultCache:
 class TestPlannedVsUnplanned:
     def test_streams_byte_identical_to_unplanned_runtime(self):
         def run(plan):
-            system = PinatuboSystem(
-                get_technology("pcm"), GEOM, batch_commands=True
-            )
+            system = PinatuboSystem(get_technology("pcm"), GEOM)
             rt = PimRuntime(system, plan=plan)
             (a, b, c), _ = _loaded(rt)
             dests = [rt.pim_malloc(N) for _ in range(6)]

@@ -158,15 +158,12 @@ class TestTargetValidation:
 
 
 class TestDeprecatedSubmitShim:
-    def test_submit_warns_but_still_works(self):
-        service = BitmapQueryService()
-        service.register_tenant("t")
-        service.load_vectors("t", vectors())
-        request = QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0)
-        with pytest.warns(DeprecationWarning, match="ServiceClient"):
-            service.submit(request)
-        stats = service.run()
-        assert stats.completed == 1
+    """``BitmapQueryService.submit()`` was a deprecated alias of
+    ``submit_request()``; it is gone and ``submit_request()`` (or the
+    :class:`ServiceClient` facade) is the one entry point."""
+
+    def test_submit_shim_is_gone(self):
+        assert not hasattr(BitmapQueryService, "submit")
 
     def test_submit_request_does_not_warn(self):
         service = BitmapQueryService()
@@ -178,40 +175,24 @@ class TestDeprecatedSubmitShim:
                 QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0)
             )
 
-    def test_shim_warns_for_every_request_type(self):
-        service = BitmapQueryService()
-        service.register_tenant("t")
-        service.load_vectors("t", vectors())
-        bits = vectors(seed=9)["v0"]
-        for request in (
-            QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0),
-            UpdateRequest(1, "t", "v0", bits, 0.0),
-            SubscribeRequest(2, "t", "xor", ("v1", "v2"), 0.0),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                service.submit(request)
-        stats = service.run()
-        assert stats.completed == 3
-
     def test_shim_results_match_facade_verbs(self):
-        """Same stream through submit() and through the facade verbs
-        produces byte-identical results -- the shim is only a warning."""
+        """Same stream through submit_request() and through the facade
+        verbs produces byte-identical results."""
 
-        def play(use_shim):
+        def play(by_hand):
             service = BitmapQueryService()
             client = ServiceClient(service)
             client.register_tenant("t")
             client.load_vectors("t", vectors())
             bits = vectors(seed=9)["v0"]
-            if use_shim:
+            if by_hand:
                 stream = [
                     QueryRequest.bitwise(0, "t", "and", ("v0", "v1"), 0.0),
                     UpdateRequest(1, "t", "v0", bits, 1e-4),
                     QueryRequest.bitwise(2, "t", "or", ("v0", "v1"), 2e-4),
                 ]
-                with pytest.warns(DeprecationWarning):
-                    for request in stream:
-                        service.submit(request)
+                for request in stream:
+                    service.submit_request(request)
                 service.run()
             else:
                 client.query("t", "and", ("v0", "v1"), at=0.0, request_id=0)
@@ -220,4 +201,4 @@ class TestDeprecatedSubmitShim:
                 client.run()
             return [r.to_dict() for r in service.results]
 
-        assert play(use_shim=True) == play(use_shim=False)
+        assert play(by_hand=True) == play(by_hand=False)
