@@ -65,6 +65,11 @@ from repro.memsim.timing import nvm_timing
 from repro.nvm.technology import NVMTechnology, get_technology
 
 
+#: cap on the memo of frozen host read/write batches (distinct
+#: ``(read?, ((channel, bits), ...))`` transfer shapes per executor)
+_HOST_BATCH_MEMO_LIMIT = 256
+
+
 class PlacementError(RuntimeError):
     """Operands placed so the operation cannot execute in memory."""
 
@@ -123,6 +128,9 @@ class PinatuboExecutor:
         self._mrs_batch = CommandBatch()
         self._mrs_batch.add(CommandKind.MRS)
         self._mrs_batch.price_memo_ok = True
+        #: frozen host read/write batches by transfer shape, see
+        #: :meth:`_host_batch`
+        self._host_batches: Dict[tuple, CommandBatch] = {}
         #: when set (a list), every finished command batch of a bitwise
         #: operation is appended as a ``(flavor, batch, ...)`` tuple so the
         #: kernel compiler (:mod:`repro.plan.compile`) can freeze it
@@ -135,19 +143,15 @@ class PinatuboExecutor:
         bits = np.asarray(bits, dtype=np.uint8)
         acct = OpAccounting()
         g = self.geometry
-        batch = CommandBatch()
+        shape = []
         for i, frame in enumerate(frames):
             chunk = bits[i * g.row_bits : (i + 1) * g.row_bits]
             if chunk.size == 0:
                 break
             self.memory.write_bits(frame, chunk)
-            ch = self.mapper.channel_of(frame)
-            batch.add(CommandKind.ACT, channel=ch, n_bits=chunk.size)
-            batch.add(CommandKind.WR, channel=ch, n_bits=chunk.size,
-                      transfer_bytes=-(-chunk.size // 8))
-            batch.add(CommandKind.PRE, channel=ch)
-            batch.fence()  # frames serialise
-        if len(batch):
+            shape.append((self.mapper.channel_of(frame), chunk.size))
+        if shape:
+            batch = self._host_batch(False, tuple(shape))
             acct.absorb(self.controller.execute_batch(batch))
         return acct
 
@@ -160,26 +164,57 @@ class PinatuboExecutor:
         acct = OpAccounting()
         g = self.geometry
         parts = []
+        shape = []
         remaining = n_bits
-        batch = CommandBatch()
         for frame in frames:
             take = min(remaining, g.row_bits)
             parts.append(self.memory.read_bits(frame, take))
-            ch = self.mapper.channel_of(frame)
-            batch.add(CommandKind.ACT, channel=ch, n_bits=take)
-            batch.add(CommandKind.PIM_SENSE, channel=ch,
-                      n_steps=g.sense_steps_for_bits(take), n_bits=take)
-            batch.add(CommandKind.RD, channel=ch, n_bits=take,
-                      transfer_bytes=-(-take // 8))
-            batch.add(CommandKind.PRE, channel=ch)
-            batch.fence()
+            shape.append((self.mapper.channel_of(frame), take))
             remaining -= take
             if remaining <= 0:
                 break
         if remaining > 0:
             raise ValueError("frames do not cover n_bits")
+        batch = self._host_batch(True, tuple(shape))
         acct.absorb(self.controller.execute_batch(batch))
         return np.concatenate(parts), acct
+
+    def _host_batch(
+        self, read: bool, shape: Tuple[Tuple[int, int], ...]
+    ) -> CommandBatch:
+        """The frozen command batch of one host read or write.
+
+        A host transfer is plain DDR traffic -- ACT, (SENSE,) RD/WR, PRE
+        per row frame, frames serialised -- so its columns depend only
+        on each frame's ``(channel, bits)``.  The batch is built once
+        per shape and opts into the controller's price memo: a repeat
+        transfer replays the exact stats the first full pricing pass
+        computed.  The memo is dropped wholesale at
+        ``_HOST_BATCH_MEMO_LIMIT`` shapes.
+        """
+        key = (read, shape)
+        batch = self._host_batches.get(key)
+        if batch is not None:
+            return batch
+        g = self.geometry
+        batch = CommandBatch()
+        for ch, n in shape:
+            batch.add(CommandKind.ACT, channel=ch, n_bits=n)
+            if read:
+                batch.add(CommandKind.PIM_SENSE, channel=ch,
+                          n_steps=g.sense_steps_for_bits(n), n_bits=n)
+                batch.add(CommandKind.RD, channel=ch, n_bits=n,
+                          transfer_bytes=-(-n // 8))
+            else:
+                batch.add(CommandKind.WR, channel=ch, n_bits=n,
+                          transfer_bytes=-(-n // 8))
+            batch.add(CommandKind.PRE, channel=ch)
+            batch.fence()  # frames serialise
+        batch.price_memo_ok = True
+        if len(self._host_batches) >= _HOST_BATCH_MEMO_LIMIT:
+            self._host_batches.clear()
+        self._host_batches[key] = batch
+        return batch
 
     # -- PIM operations -----------------------------------------------------------
 

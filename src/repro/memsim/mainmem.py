@@ -26,8 +26,9 @@ from repro import telemetry
 from repro.memsim.geometry import MemoryGeometry
 
 #: always-live process-wide program count (all MainMemory instances);
-#: per-instance/per-frame detail stays on ``total_writes`` and
-#: ``write_histogram()`` -- see ``repro.runtime.wear``
+#: per-instance totals stay on ``total_writes`` / ``frames_written`` /
+#: ``max_writes`` and per-frame detail on ``write_histogram()`` -- see
+#: ``repro.runtime.wear``
 _FRAME_WRITES = telemetry.counter("memsim.mainmem.frame_writes")
 
 #: cap on one lazily-allocated block's payload bytes
@@ -72,7 +73,12 @@ class MainMemory:
 
     def __init__(self, geometry: MemoryGeometry):
         self.geometry = geometry
+        #: program counts maintained on every write, so wear publication
+        #: is O(1): all programs, distinct frames programmed, and the
+        #: hottest frame's count
         self.total_writes = 0
+        self.frames_written = 0
+        self.max_writes = 0
         self._total_rows = geometry.total_rows
         self._row_bytes = geometry.row_bytes
         # rows per block: power of two, >= 1, block payload <= _BLOCK_BYTES
@@ -185,7 +191,13 @@ class MainMemory:
         block_index = frame >> self._block_shift
         row = frame & self._block_mask
         self._block(block_index)[row] = data
-        self._block_writes[block_index][row] += 1
+        writes = self._block_writes[block_index]
+        count = int(writes[row]) + 1
+        writes[row] = count
+        if count == 1:
+            self.frames_written += 1
+        if count > self.max_writes:
+            self.max_writes = count
         self.total_writes += 1
         _FRAME_WRITES.add()
         if self._write_listeners:
@@ -239,13 +251,13 @@ class MainMemory:
         if (blocks == first).all():
             blk = self._block(first)
             blk[rows] = rows_2d
-            np.add.at(self._block_writes[first], rows, 1)
+            self._count_writes(self._block_writes[first], rows)
         else:
             for block_index in np.unique(blocks):
                 sel = blocks == block_index
                 blk = self._block(int(block_index))
                 blk[rows[sel]] = rows_2d[sel]
-                np.add.at(self._block_writes[int(block_index)], rows[sel], 1)
+                self._count_writes(self._block_writes[int(block_index)], rows[sel])
         if self._write_listeners:
             for frame in frames:
                 for callback in self._write_listeners:
@@ -266,6 +278,19 @@ class MainMemory:
                 else:
                     listener.on_write(frames, None, None)
 
+    def _count_writes(self, writes: np.ndarray, rows: np.ndarray) -> None:
+        """Bump one block's program counts for ``rows`` (duplicates
+        count every program) and keep the maintained wear totals: a
+        frame first programmed here counts once in ``frames_written``,
+        however often it repeats in ``rows``."""
+        fresh = rows[writes[rows] == 0]
+        if fresh.size:
+            self.frames_written += int(np.unique(fresh).size)
+        np.add.at(writes, rows, 1)
+        hottest = int(writes[rows].max())
+        if hottest > self.max_writes:
+            self.max_writes = hottest
+
     def frame_writes(self, frame: int) -> int:
         """How many times a frame has been programmed (endurance)."""
         self._check_frame(frame)
@@ -276,9 +301,8 @@ class MainMemory:
 
     @property
     def frames_in_use(self) -> int:
-        return sum(
-            int(np.count_nonzero(w)) for w in self._block_writes.values()
-        )
+        """Distinct frames ever programmed (the maintained count)."""
+        return self.frames_written
 
     def write_histogram(self) -> dict:
         """{frame: program count} for every frame ever written."""

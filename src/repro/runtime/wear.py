@@ -88,12 +88,27 @@ class WearMonitor:
         (``.max_writes`` / ``.mean_writes`` / ``.imbalance``) hold the
         latest snapshot.  The aggregate shows up in
         :func:`repro.telemetry.summary` and the exit report.
+
+        O(1): it reads the totals :class:`MainMemory` maintains on every
+        write, so the serving layer can publish after every drain.  The
+        returned report carries :meth:`report`'s numeric fields with an
+        empty ``hottest`` list; :meth:`report` is the on-demand full
+        scan that ranks frames.
         """
-        report = self.report()
-        _TOTAL_WRITES.add(report.total_writes - self._published_total)
-        _FRAMES_WRITTEN.add(report.frames_written - self._published_frames)
-        self._published_total = report.total_writes
-        self._published_frames = report.frames_written
+        memory = self.memory
+        total = memory.total_writes
+        frames = memory.frames_written
+        report = WearReport(
+            frames_written=frames,
+            total_writes=total,
+            max_writes=memory.max_writes,
+            mean_writes=total / frames if frames else 0.0,
+            hottest=[],
+        )
+        _TOTAL_WRITES.add(total - self._published_total)
+        _FRAMES_WRITTEN.add(frames - self._published_frames)
+        self._published_total = total
+        self._published_frames = frames
         _MAX_WRITES.set(report.max_writes)
         _MEAN_WRITES.set(report.mean_writes)
         _IMBALANCE.set(report.imbalance)

@@ -20,15 +20,19 @@ The same client drives a single-node
 :class:`~repro.service.service.BitmapQueryService` or a
 :class:`~repro.cluster.ClusterRouter` -- anything exposing the small
 ``ServingTarget`` surface (``submit_request``/``run``/``results``/
-``notifications`` plus tenant management).  Request ids are assigned
-monotonically by the client (override with ``request_id=`` when a
-workload's stream numbering is the determinism contract); arrival times
-default to the latest arrival seen, so a sequence of calls without
-``at=`` forms a valid non-decreasing open-loop stream.
+``notifications``/``loop`` plus tenant management).  Request ids are
+assigned monotonically by the client (override with ``request_id=``
+when a workload's stream numbering is the determinism contract);
+arrival times default to the later of the latest arrival seen and the
+target's clock, so a sequence of calls without ``at=`` forms a valid
+non-decreasing open-loop stream, also across ``run()`` calls.
 
 Handles are *deferred* views: the serving layers run on a simulated
 clock, so results exist only after :meth:`ServiceClient.run` drains the
-event loop, which resolves every outstanding handle.
+event loop, which resolves every outstanding handle.  The target's
+``results`` and ``notifications`` logs are append-only, so each
+``run()`` resolves only the entries appended since the previous one:
+a round's client cost does not grow with the rounds already served.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ class ServiceClient:
     """One facade over a serving target (single node or cluster)."""
 
     def __init__(self, target) -> None:
-        for attr in ("submit_request", "run", "results", "notifications"):
+        for attr in ("submit_request", "run", "results", "notifications", "loop"):
             if not hasattr(target, attr):
                 raise TypeError(
                     f"target {type(target).__name__} is not a serving "
@@ -142,6 +146,10 @@ class ServiceClient:
         self._handles: Dict[int, ResultHandle] = {}
         self._next_id = 0
         self._last_at = 0.0
+        # cursors into the target's append-only results/notifications
+        # logs: entries before them are already resolved
+        self._results_seen = 0
+        self._notes_seen = 0
 
     # -- tenant/data management (pass-through) -------------------------------
 
@@ -278,7 +286,8 @@ class ServiceClient:
 
         Returns whatever the target's ``run()`` returns (its stats
         object); call :meth:`ServiceClient.run` again after submitting
-        more work -- resolution is idempotent.
+        more work -- each call resolves only what the target recorded
+        since the previous one.
         """
         stats = self.target.run(**kwargs)
         self._resolve_handles()
@@ -289,19 +298,19 @@ class ServiceClient:
         return self.target.stats
 
     def _resolve_handles(self) -> None:
-        for result in self.target.results:
-            handle = self._handles.get(result.request.request_id)
+        handles = self._handles
+        results = self.target.results
+        for result in results[self._results_seen:]:
+            handle = handles.get(result.request.request_id)
             if handle is not None:
                 handle._resolve(result)
-        # rebuild notification lists from the target's delivery log so a
-        # second run() stays idempotent (no duplicate appends)
-        for handle in self._handles.values():
-            if isinstance(handle, SubscriptionHandle):
-                handle.notifications.clear()
-        for note in self.target.notifications:
-            handle = self._handles.get(note.subscription_id)
+        self._results_seen = len(results)
+        notes = self.target.notifications
+        for note in notes[self._notes_seen:]:
+            handle = handles.get(note.subscription_id)
             if isinstance(handle, SubscriptionHandle):
                 handle.notifications.append(note)
+        self._notes_seen = len(notes)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -315,7 +324,7 @@ class ServiceClient:
 
     def _arrival(self, at: Optional[float]) -> float:
         if at is None:
-            at = self._last_at
+            at = max(self._last_at, self.target.loop.now)
         if at < 0:
             raise ValueError("arrival time must be non-negative")
         self._last_at = max(self._last_at, at)

@@ -251,6 +251,11 @@ class ResidentPimEngine(ServiceEngine):
         #: concurrently; subarrays in one bank share the bank's command
         #: path and serialise.
         self._n_shards = geometry.channels * geometry.banks_per_rank
+        #: one monitor for the engine's life: its publish baselines are
+        #: what make each drain add only the new wear to the counters
+        self._wear_monitor = WearMonitor(
+            self.runtime.system.memory, self.runtime.system.technology
+        )
 
     @staticmethod
     def group_of(tenant: str) -> str:
@@ -583,10 +588,7 @@ class ResidentPimEngine(ServiceEngine):
         )
 
     def wear_monitor(self) -> WearMonitor:
-        return WearMonitor(
-            self.runtime.system.memory,
-            self.runtime.system.technology,
-        )
+        return self._wear_monitor
 
 
 class HostOracleEngine(ServiceEngine):

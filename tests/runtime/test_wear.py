@@ -164,3 +164,58 @@ class TestPimWorkloadWear:
         report = monitor.report()
         assert report.hottest[0][0] == acc.frames[0]
         assert report.imbalance > 3
+
+
+class TestMaintainedWear:
+    """``publish()`` reads the totals ``MainMemory`` maintains on every
+    write; they must agree with ``report()``'s full scan."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_publish_matches_report_after_random_writes(self, monkeypatch, seed):
+        from repro import telemetry
+        from repro.memsim import mainmem
+
+        # 4 frames per storage block, so batches straddle blocks
+        monkeypatch.setattr(mainmem, "_BLOCK_BYTES", 4 * GEOM.row_bytes)
+        memory = MainMemory(GEOM)
+        assert memory._block_rows == 4
+        monitor = WearMonitor(memory)
+        rng = np.random.default_rng(seed)
+        n_frames = GEOM.total_rows
+        for _ in range(40):
+            if rng.random() < 0.4:
+                frame = int(rng.integers(0, n_frames))
+                memory.write_frame(
+                    frame, rng.integers(0, 256, GEOM.row_bytes, dtype=np.uint8)
+                )
+            else:
+                # duplicates within one call and frames from several blocks
+                frames = rng.integers(0, n_frames, int(rng.integers(1, 12)))
+                rows = rng.integers(
+                    0, 256, (frames.size, GEOM.row_bytes), dtype=np.uint8
+                )
+                memory.write_frames(frames.tolist(), rows)
+            published = monitor.publish()
+            full = monitor.report()
+            assert published.hottest == []
+            assert published.frames_written == full.frames_written
+            assert published.total_writes == full.total_writes
+            assert published.max_writes == full.max_writes
+            assert published.mean_writes == pytest.approx(full.mean_writes)
+            assert memory.frames_in_use == full.frames_written
+            gauges = telemetry.aggregate()["gauges"]
+            assert gauges["runtime.wear.max_writes"] == full.max_writes
+            assert gauges["runtime.wear.mean_writes"] == pytest.approx(
+                full.mean_writes
+            )
+            assert gauges["runtime.wear.imbalance"] == pytest.approx(
+                full.imbalance
+            )
+
+    def test_duplicate_frame_in_one_call_counts_once(self, memory):
+        rows = np.zeros((3, GEOM.row_bytes), dtype=np.uint8)
+        memory.write_frames([7, 7, 7], rows)
+        assert memory.frames_written == 1
+        assert memory.max_writes == 3
+        assert memory.total_writes == 3
+        assert memory.write_histogram() == {7: 3}
