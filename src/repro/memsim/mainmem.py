@@ -50,7 +50,19 @@ if hasattr(np, "bitwise_count"):  # numpy >= 2.0
         return int(np.bitwise_count(packed).sum())
 
     def popcount_rows(packed_2d: np.ndarray) -> List[int]:
-        """Per-row set-bit counts of a 2-D packed ``uint8`` array."""
+        """Per-row set-bit counts of a 2-D packed ``uint8`` array.
+
+        C-contiguous byte rows whose width is a multiple of 8 are
+        counted 8 bytes at a time through a ``uint64`` view (the same
+        bits, an eighth of the elements to reduce).
+        """
+        if (
+            packed_2d.dtype == np.uint8
+            and packed_2d.ndim == 2
+            and packed_2d.shape[1] % 8 == 0
+            and packed_2d.flags.c_contiguous
+        ):
+            packed_2d = packed_2d.view(np.uint64)
         return np.bitwise_count(packed_2d).sum(axis=1, dtype=np.int64).tolist()
 
 else:  # pragma: no cover - older numpy

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memsim.geometry import MemoryGeometry
-from repro.memsim.mainmem import MainMemory
+from repro.memsim.mainmem import MainMemory, popcount_rows
 
 
 SMALL = MemoryGeometry(
@@ -188,3 +188,50 @@ class TestBitwiseCompute:
         result = mem.bitwise_frames(op, [0, 1])
         oracle = {"or": a | b, "and": a & b, "xor": a ^ b}[op]
         np.testing.assert_array_equal(result, oracle)
+
+
+class TestPopcountRows:
+    """``popcount_rows`` against a byte-table reference: the 8-bytes-
+    at-a-time path and the byte path must count identically."""
+
+    TABLE = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+    def _reference(self, packed_2d):
+        return [int(self.TABLE[row].sum()) for row in packed_2d]
+
+    @pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 16, 24, 100, 8192])
+    def test_random_arrays_match_reference(self, width):
+        rng = np.random.default_rng(width)
+        for n_rows in (1, 2, 5, 14):
+            arr = rng.integers(0, 256, (n_rows, width), dtype=np.uint8)
+            assert popcount_rows(arr) == self._reference(arr)
+
+    def test_all_ones_and_zeros(self):
+        arr = np.zeros((3, 64), dtype=np.uint8)
+        arr[1] = 0xFF
+        assert popcount_rows(arr) == [0, 512, 0]
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda a: a[::2],  # strided rows
+            lambda a: a[:, 8:40],  # column slice, width a multiple of 8
+            lambda a: a[:, 1:17],  # misaligned column slice
+            lambda a: a[:, ::2],  # strided columns
+            lambda a: a.T.copy().T,  # Fortran order
+            lambda a: a[1:],  # contiguous row-offset slice
+        ],
+    )
+    def test_non_contiguous_slices(self, view):
+        base = np.random.default_rng(7).integers(
+            0, 256, (6, 64), dtype=np.uint8
+        )
+        arr = view(base)
+        assert popcount_rows(arr) == self._reference(arr)
+
+    @pytest.mark.parametrize("width", [0, 8, 13])
+    def test_zero_rows(self, width):
+        assert popcount_rows(np.zeros((0, width), dtype=np.uint8)) == []
+
+    def test_zero_width_rows(self):
+        assert popcount_rows(np.zeros((4, 0), dtype=np.uint8)) == [0] * 4

@@ -13,9 +13,12 @@ import pytest
 
 from repro import telemetry
 from repro.core.pinatubo import PinatuboSystem
+from repro.memsim.address import RowAddress
 from repro.memsim.geometry import MemoryGeometry
 from repro.nvm.technology import get_technology
 from repro.plan.cache import SubResultCache
+from repro.plan.repair import FALLBACK_REASONS
+from repro.runtime.allocator import BitVectorHandle
 from repro.runtime.api import PimRuntime
 
 GEOM = MemoryGeometry(
@@ -380,3 +383,124 @@ class TestServeReplayCounterAlias:
         d_new = telemetry.counter("plan.serve.replays").value - new0
         assert d_new == rt.plan_stats.serve_replays
         assert "plan.compile.serve_replays" not in telemetry.tracer.counters
+
+
+class TestFallbackReasons:
+    """Every fallback to invalidation is counted under exactly one
+    ``plan.repair.fallback.<reason>`` counter, and the reasons sum to
+    ``plan.repair.fallback_invalidations``."""
+
+    @staticmethod
+    def _counts():
+        out = {
+            r: telemetry.counter(f"plan.repair.fallback.{r}").value
+            for r in FALLBACK_REASONS
+        }
+        out["total"] = telemetry.counter(
+            "plan.repair.fallback_invalidations"
+        ).value
+        return out
+
+    def _assert_one(self, before, reason):
+        after = self._counts()
+        delta = {k: after[k] - before[k] for k in after}
+        assert delta.pop("total") == 1
+        assert delta == {k: int(k == reason) for k in delta}
+
+    @staticmethod
+    def _leaf(handle, rt):
+        frames = np.asarray(handle.frames, dtype=np.intp)
+        return ("L", frames.tobytes(), rt.planner._versions[frames].tobytes())
+
+    @staticmethod
+    def _row(seed):
+        return np.random.default_rng(seed).integers(
+            0, 2, GEOM.row_bits, dtype=np.uint8
+        )
+
+    def test_non_expression_key(self):
+        rt = _runtime()
+        (a, _, _), _ = _loaded(rt)
+        rows = np.zeros((3, GEOM.row_bytes), dtype=np.uint8)
+        rt.planner.cache.put("raw", rows, N, a.frames)
+        before = self._counts()
+        rt.pim_write(a, self._row(1))
+        self._assert_one(before, "non_expression")
+        assert len(rt.planner.cache) == 0
+
+    def test_nested_child(self):
+        rt = _runtime()
+        (a, b, c), _ = _loaded(rt)
+        p1, out = rt.pim_malloc(N), rt.pim_malloc(N)
+        rt.pim_op("or", p1, [a, b])
+        rt.pim_op("and", out, [p1, c])
+        before = self._counts()
+        rt.pim_write(a, self._row(2))
+        self._assert_one(before, "nested_child")
+        assert rt.plan_stats.repairs == 1  # the leaf-level or(a, b)
+
+    def test_chunk_mismatch(self):
+        rt = _runtime()
+        (a, b, _), _ = _loaded(rt)
+        key = ("or", N, (self._leaf(a, rt), self._leaf(b, rt)))
+        rows = np.zeros((2, GEOM.row_bytes), dtype=np.uint8)  # not 3
+        rt.planner.cache.put(key, rows, N, set(a.frames) | set(b.frames))
+        before = self._counts()
+        rt.pim_write(a, self._row(3))
+        self._assert_one(before, "chunk_mismatch")
+
+    def test_untouched(self):
+        """The cache's frame index and the key disagree: the entry is
+        popped for a frame none of its leaves read."""
+        rt = _runtime()
+        (a, b, c), _ = _loaded(rt)
+        key = ("or", N, (self._leaf(a, rt), self._leaf(b, rt)))
+        rows = np.zeros((3, GEOM.row_bytes), dtype=np.uint8)
+        rt.planner.cache.put(key, rows, N, c.frames)
+        before = self._counts()
+        rt.pim_write(c, self._row(4))
+        self._assert_one(before, "untouched")
+
+    def test_inter_chip(self):
+        geom = MemoryGeometry(
+            channels=2,
+            ranks_per_channel=1,
+            chips_per_rank=1,
+            banks_per_chip=2,
+            subarrays_per_bank=4,
+            rows_per_subarray=32,
+            mats_per_subarray=1,
+            cols_per_mat=512,
+            mux_ratio=8,
+        )
+        rt = _runtime(geometry=geom)
+        rng = np.random.default_rng(5)
+
+        def on_channel(channel, row, vid):
+            bits = rng.integers(0, 2, 256, dtype=np.uint8)
+            frame = rt.system.mapper.encode(RowAddress(channel, 0, 0, 0, row))
+            rt.system.memory.write_bits(frame, bits)
+            return BitVectorHandle(vid=1000 + vid, n_bits=256, frames=(frame,))
+
+        a, b = on_channel(0, 0, 1), on_channel(1, 0, 2)
+        dest = on_channel(0, 1, 3)
+        rt.pim_op("or", dest, [a, b])
+        assert len(rt.planner.cache) == 1
+        before = self._counts()
+        rt.pim_write(a, rng.integers(0, 2, 256, dtype=np.uint8))
+        self._assert_one(before, "inter_chip")
+
+    def test_cost_gate(self):
+        """A one-chunk NOT: its repair is a 2-operand XOR, which prices
+        above the 1-operand NOT that recomputes the whole entry."""
+        rt = _runtime()
+        n = GEOM.row_bits
+        a = rt.pim_malloc(n)
+        rt.pim_write(a, self._row(6))
+        d = rt.pim_malloc(n)
+        rt.pim_op("inv", d, [a])
+        before = self._counts()
+        rt.pim_write(a, self._row(7))
+        self._assert_one(before, "cost_gate")
+        assert rt.plan_stats.repairs == 0
+        assert len(rt.planner.cache) == 0
