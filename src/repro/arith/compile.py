@@ -50,8 +50,8 @@ on :class:`AnalyticsStats` (surfaced in BENCH_arith.json).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from repro.core.stats import OpAccounting
 from repro.plan.cache import ProgramCache
 
 __all__ = [
+    "FALLBACK_REASONS",
     "AnalyticsCompiler",
     "AnalyticsProgram",
     "AnalyticsStats",
@@ -73,6 +74,21 @@ _FALLBACKS = telemetry.counter("plan.analytics.fallbacks")
 _FUSED_BATCHES = telemetry.counter("plan.analytics.fused_batches")
 _FUSED_REQUESTS = telemetry.counter("plan.analytics.fused_requests")
 _INVALIDATIONS = telemetry.counter("plan.analytics.invalidations")
+
+#: why an ``analyze`` ran interpreted instead of replaying; each reason
+#: counts under ``plan.analytics.fallback.<reason>``, and the reasons
+#: sum to ``plan.analytics.fallbacks``
+FALLBACK_REASONS = (
+    "new_shape",  # no program for the shape (first sight, or dropped)
+    "new_constants",  # first sight of the (constants, entry mode) pair
+    "recording",  # the pair ran before without a record: this run records
+    "evicted",  # sub-result cache evictions dropped the records
+    "leaves_written",  # a leaf frame was written since the record
+)
+_FALLBACK_BY_REASON = {
+    reason: telemetry.counter(f"plan.analytics.fallback.{reason}")
+    for reason in FALLBACK_REASONS
+}
 
 #: pricing records kept per program (LRU over (constants, entry mode))
 _MAX_RECORDS = 512
@@ -134,6 +150,10 @@ class AnalyticsStats:
     fused_batches: int = 0
     fused_requests: int = 0
     invalidations: int = 0
+    #: fallbacks per :data:`FALLBACK_REASONS` entry (sums to ``fallbacks``)
+    fallback_reasons: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(FALLBACK_REASONS, 0)
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +164,7 @@ class AnalyticsStats:
             "fused_batches": self.fused_batches,
             "fused_requests": self.fused_requests,
             "invalidations": self.invalidations,
+            "fallback_reasons": dict(self.fallback_reasons),
         }
 
 
@@ -350,6 +371,10 @@ class AnalyticsCompiler:
         self.programs = ProgramCache(max_programs)
         self._frame_index: Dict[int, Set[tuple]] = {}
         self._token = 0
+        #: why the last :meth:`replay` dropped a program's records
+        #: (``evicted`` / ``leaves_written``), for the :meth:`observe`
+        #: of the interpreted run that follows it
+        self._drop_reason: Optional[str] = None
         if self.enabled:
             self.executor = runtime.system.executor
             runtime.allocator.add_free_listener(self._on_free)
@@ -384,7 +409,11 @@ class AnalyticsCompiler:
             return None
         entry = (constants, self.executor._current_mode)
         rec = program.records.get(entry)
-        if rec is None or not self._valid(program, token):
+        if rec is None:
+            return None
+        reason = self._invalid(program, token)
+        if reason is not None:
+            self._drop_reason = reason
             return None
         program.records.move_to_end(entry)
         self._apply(rec)
@@ -414,15 +443,25 @@ class AnalyticsCompiler:
         """
         if not self.enabled:
             return None
+        program = self.programs.get(key)
+        entry = (constants, self.executor._current_mode)
+        reason, self._drop_reason = self._drop_reason, None
+        if reason is None:
+            if program is None:
+                reason = "new_shape"
+            elif entry in program.sightings:
+                reason = "recording"
+            else:
+                reason = "new_constants"
         self.stats.fallbacks += 1
         _FALLBACKS.add()
-        program = self.programs.get(key)
+        self.stats.fallback_reasons[reason] += 1
+        _FALLBACK_BY_REASON[reason].add()
         if program is None:
             program = AnalyticsProgram(key)
             self.programs.put(key, program)
             self.stats.programs += 1
             _PROGRAMS.add()
-        entry = (constants, self.executor._current_mode)
         recording = entry in program.sightings
         if not recording:
             program.sightings.add(entry)
@@ -432,25 +471,29 @@ class AnalyticsCompiler:
 
     # -- validation / invalidation -------------------------------------------
 
-    def _valid(self, program: AnalyticsProgram, token: Optional[int]) -> bool:
+    def _invalid(
+        self, program: AnalyticsProgram, token: Optional[int]
+    ) -> Optional[str]:
+        """``None`` when the program's records may replay, else the
+        fallback reason they were dropped for."""
         if token is not None and program.batch_token == token:
-            return True
+            return None
         planner = self.planner
         if program.evictions != planner.cache.evictions:
             # byte pressure evicted cached sub-results somewhere: the
             # recorded serve pricing may assume entries that are gone
             self._reset(program)
-            return False
+            return "evicted"
         if program.epoch != planner._write_epoch:
             vsum = int(planner._versions[program.leaf_farr].sum())
             if vsum != program.vsum:
                 self._reset(program)
-                return False
+                return "leaves_written"
             program.epoch = planner._write_epoch
         if token is not None:
             program.batch_token = token
             program.batch_replays = 0
-        return True
+        return None
 
     def _reset(self, program: AnalyticsProgram) -> None:
         """Drop a program's records (shape + leaves survive)."""

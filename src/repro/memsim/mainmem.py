@@ -6,10 +6,15 @@ are lock-step, so one activation opens one frame of
 ``geometry.row_bits`` bits.  Storage is organised as lazily-allocated
 *blocks* of contiguous frames (a power-of-two row count, capped at
 ~1 MiB per block), so a 64 GiB memory costs only as much host RAM as
-the blocks actually touched -- while batched reads and writes
-(:meth:`MainMemory.gather_rows`, :meth:`MainMemory.write_frames`)
-resolve to one fancy-indexed numpy operation per touched block instead
-of one Python-level copy per row.
+the blocks actually touched.
+
+Rows are read in place, the way a Pinatubo gate senses them: frames
+that run consecutively inside one block (as allocator handles nearly
+always do) resolve to a read-only *view* of the block,
+and :meth:`MainMemory.write_frames` lands them with one slice store.
+Any other frame list falls back to one fancy-indexed gather / store
+per touched block.  Gate outputs are always fresh arrays, so a caller
+can never write memory through a result.
 
 Bits are packed little-endian within bytes (``numpy.packbits`` with
 ``bitorder='little'``), which keeps bit ``i`` of a vector at byte
@@ -45,25 +50,28 @@ _BITWISE_UFUNCS = {
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
 
+    def _words(packed: np.ndarray) -> np.ndarray:
+        """C-contiguous bytes whose last axis is a multiple of 8 wide,
+        viewed as ``uint64`` words: the same bits, an eighth of the
+        elements to count and reduce."""
+        if (
+            packed.dtype == np.uint8
+            and packed.ndim
+            and packed.shape[-1] % 8 == 0
+            and packed.flags.c_contiguous
+        ):
+            return packed.view(np.uint64)
+        return packed
+
     def popcount_packed(packed: np.ndarray) -> int:
         """Total set bits in a packed ``uint8`` array."""
-        return int(np.bitwise_count(packed).sum())
+        return int(np.bitwise_count(_words(packed)).sum())
 
     def popcount_rows(packed_2d: np.ndarray) -> List[int]:
-        """Per-row set-bit counts of a 2-D packed ``uint8`` array.
-
-        C-contiguous byte rows whose width is a multiple of 8 are
-        counted 8 bytes at a time through a ``uint64`` view (the same
-        bits, an eighth of the elements to reduce).
-        """
-        if (
-            packed_2d.dtype == np.uint8
-            and packed_2d.ndim == 2
-            and packed_2d.shape[1] % 8 == 0
-            and packed_2d.flags.c_contiguous
-        ):
-            packed_2d = packed_2d.view(np.uint64)
-        return np.bitwise_count(packed_2d).sum(axis=1, dtype=np.int64).tolist()
+        """Per-row set-bit counts of a 2-D packed ``uint8`` array."""
+        return np.bitwise_count(_words(packed_2d)).sum(
+            axis=1, dtype=np.int64
+        ).tolist()
 
 else:  # pragma: no cover - older numpy
     _POP_TABLE = np.unpackbits(
@@ -184,7 +192,9 @@ class MainMemory:
         blk = self._blocks.get(frame >> self._block_shift)
         if blk is None:
             return self._zero_row
-        return blk[frame & self._block_mask]
+        view = blk[frame & self._block_mask]
+        view.flags.writeable = False
+        return view
 
     def write_frame(self, frame: int, data: np.ndarray) -> None:
         """Overwrite a full frame with packed bytes."""
@@ -232,11 +242,13 @@ class MainMemory:
     def write_frames(self, frames, rows_2d: np.ndarray) -> None:
         """Batched :meth:`write_frame`: row ``i`` of ``rows_2d`` -> frame i.
 
-        Validates the block once, then lands the rows with one
-        fancy-indexed assignment per touched storage block -- same
-        copy-in, same endurance bump, same listener firing as the
-        per-frame path, without per-row Python work.  The compiled
-        replay and serve paths funnel their stores through here.
+        Frames that run consecutively inside one storage block land
+        with one slice store and one slice bump of their program
+        counts; any other frame list takes one fancy-indexed assignment
+        per touched block.  Same copy-in, same endurance bump, same
+        listener firing as the per-frame path, without per-row Python
+        work.  The compiled replay and serve paths funnel their stores
+        through here.
         """
         rows_2d = np.asarray(rows_2d, dtype=np.uint8)
         n = len(frames)
@@ -246,30 +258,43 @@ class MainMemory:
             )
         if n == 0:
             return
-        farr = np.asarray(frames, dtype=np.intp)
-        if int(farr.min()) < 0 or int(farr.max()) >= self._total_rows:
-            raise ValueError(
-                f"frame out of range [0, {self._total_rows})"
-            )
+        run = self._run_of(frames)
+        if run is None:
+            farr = self._frame_array(frames)
         wants = old_rows = uniq = None
         if self._delta_listeners:
             wants = [li.wants_delta(frames) for li in self._delta_listeners]
             if any(wants):
-                uniq = np.unique(farr)
+                if run is None:
+                    uniq = np.unique(farr)
+                else:
+                    first = int(frames[0])
+                    uniq = np.arange(first, first + n, dtype=np.intp)
                 old_rows = self.gather_rows(uniq)
-        blocks = farr >> self._block_shift
-        rows = farr & self._block_mask
-        first = int(blocks[0])
-        if (blocks == first).all():
-            blk = self._block(first)
-            blk[rows] = rows_2d
-            self._count_writes(self._block_writes[first], rows)
+        if run is not None:
+            block_index, row = run
+            self._block(block_index)[row : row + n] = rows_2d
+            writes = self._block_writes[block_index][row : row + n]
+            writes += 1
+            self.frames_written += int(np.count_nonzero(writes == 1))
+            hottest = int(writes.max())
+            if hottest > self.max_writes:
+                self.max_writes = hottest
         else:
-            for block_index in np.unique(blocks):
-                sel = blocks == block_index
-                blk = self._block(int(block_index))
-                blk[rows[sel]] = rows_2d[sel]
-                self._count_writes(self._block_writes[int(block_index)], rows[sel])
+            blocks = farr >> self._block_shift
+            rows = farr & self._block_mask
+            first = int(blocks[0])
+            if (blocks == first).all():
+                self._block(first)[rows] = rows_2d
+                self._count_writes(self._block_writes[first], rows)
+            else:
+                for block_index in np.unique(blocks):
+                    sel = blocks == block_index
+                    blk = self._block(int(block_index))
+                    blk[rows[sel]] = rows_2d[sel]
+                    self._count_writes(
+                        self._block_writes[int(block_index)], rows[sel]
+                    )
         if self._write_listeners:
             for frame in frames:
                 for callback in self._write_listeners:
@@ -282,7 +307,7 @@ class MainMemory:
         if self._delta_listeners:
             deltas = None
             if old_rows is not None:
-                np.bitwise_xor(old_rows, self.gather_rows(uniq), out=old_rows)
+                np.bitwise_xor(old_rows, self.rows_view(uniq), out=old_rows)
                 deltas = old_rows
             for want, listener in zip(wants, self._delta_listeners):
                 if want:
@@ -374,60 +399,115 @@ class MainMemory:
 
     # -- row-parallel variants (the batched engine's chunk loop) -------------
 
-    def gather_rows(self, frames) -> np.ndarray:
-        """Stack frames into a fresh ``(len(frames), row_bytes)`` array."""
+    def _run_of(self, frames):
+        """``(block index, first row)`` when the non-empty ``frames``
+        run consecutively inside one storage block, else ``None``
+        (including any frame out of range)."""
+        n = len(frames)
+        first = int(frames[0])
+        row = first & self._block_mask
+        if first < 0 or row + n > self._block_rows or first + n > self._total_rows:
+            return None
+        if n > 1 and int(frames[n - 1]) != first + n - 1:
+            return None
+        if n > 2:
+            if isinstance(frames, np.ndarray):
+                if not (np.diff(frames) == 1).all():
+                    return None
+            else:
+                for i in range(1, n - 1):
+                    if frames[i] != first + i:
+                        return None
+        return first >> self._block_shift, row
+
+    def _frame_array(self, frames) -> np.ndarray:
+        """``frames`` as a range-checked ``np.intp`` array."""
         farr = np.asarray(frames, dtype=np.intp)
-        if farr.size == 0:
-            return np.empty((0, self._row_bytes), dtype=np.uint8)
         if int(farr.min()) < 0 or int(farr.max()) >= self._total_rows:
             raise ValueError(
                 f"frame out of range [0, {self._total_rows})"
             )
+        return farr
+
+    def _rows(self, frames):
+        """``(rows, aliased)``: the ``(len(frames), row_bytes)`` contents
+        of ``frames``.  A consecutive run inside one block is a view of
+        that block (``aliased``); any other frame list is gathered into
+        a fresh array."""
+        n = len(frames)
+        if n == 0:
+            return np.empty((0, self._row_bytes), dtype=np.uint8), False
+        run = self._run_of(frames)
+        if run is not None:
+            block_index, row = run
+            blk = self._blocks.get(block_index)
+            if blk is None:
+                return np.broadcast_to(self._zero_row, (n, self._row_bytes)), True
+            return blk[row : row + n], True
+        farr = self._frame_array(frames)
         blocks = farr >> self._block_shift
         rows = farr & self._block_mask
         first = int(blocks[0])
         if (blocks == first).all():
             blk = self._blocks.get(first)
             if blk is None:
-                return np.zeros(
-                    (farr.size, self._row_bytes), dtype=np.uint8
-                )
-            return blk[rows]
-        out = np.zeros((farr.size, self._row_bytes), dtype=np.uint8)
+                return np.zeros((n, self._row_bytes), dtype=np.uint8), False
+            return blk[rows], False
+        out = np.zeros((n, self._row_bytes), dtype=np.uint8)
         for block_index in np.unique(blocks):
             blk = self._blocks.get(int(block_index))
             if blk is not None:
                 sel = blocks == block_index
                 out[sel] = blk[rows[sel]]
-        return out
+        return out, False
+
+    def rows_view(self, frames) -> np.ndarray:
+        """Read-only ``(len(frames), row_bytes)`` rows of ``frames``.
+
+        The one row accessor every gate reads its operands through: no
+        copy when the frames run consecutively inside one storage block
+        (a view of the block), a gather otherwise.  The result is
+        read-only either way -- writing through it raises -- and stays
+        valid only until the next write to those frames.
+        """
+        rows, _aliased = self._rows(frames)
+        rows.flags.writeable = False
+        return rows
+
+    def gather_rows(self, frames) -> np.ndarray:
+        """Stack frames into a fresh, writeable ``(len(frames), row_bytes)``
+        array that shares nothing with memory."""
+        rows, aliased = self._rows(frames)
+        return rows.copy() if aliased else rows
 
     def bitwise_rows(self, op: str, src_frame_lists) -> np.ndarray:
         """:meth:`bitwise_frames` over many frame tuples at once.
 
         ``src_frame_lists`` holds one frame list per operand vector; row
         ``i`` of the result is ``op`` applied across the i-th frame of
-        every operand list (all numpy, no per-row Python work).
+        every operand list (all numpy, no per-row Python work).  Operands
+        are read through :meth:`rows_view`; the result is a fresh array.
         """
         srcs = list(src_frame_lists)
         if op == "inv":
             if len(srcs) != 1:
                 raise ValueError("inv takes exactly one source frame list")
-            return np.bitwise_not(self.gather_rows(srcs[0]))
+            return np.bitwise_not(self.rows_view(srcs[0]))
         try:
             ufunc = _BITWISE_UFUNCS[op]
         except KeyError:
             raise ValueError(f"unknown bitwise op {op!r}") from None
         if len(srcs) < 2:
             raise ValueError(f"{op} needs at least two source frame lists")
-        out = self.gather_rows(srcs[0])
-        for frames in srcs[1:]:
-            ufunc(out, self.gather_rows(frames), out=out)
+        view = self.rows_view
+        out = ufunc(view(srcs[0]), view(srcs[1]))
+        for frames in srcs[2:]:
+            ufunc(out, view(frames), out=out)
         return out
 
     def diff_bits_rows(self, frames, data_2d: np.ndarray) -> List[int]:
         """:meth:`diff_bits` per row: differential-write widths."""
-        changed = np.bitwise_xor(self.gather_rows(frames), data_2d)
-        return popcount_rows(changed)
+        return popcount_rows(np.bitwise_xor(self.rows_view(frames), data_2d))
 
     def execute_bitwise(self, op: str, dest_frame: int, src_frames) -> None:
         """Functional compute + write-back to the destination frame."""

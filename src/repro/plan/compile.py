@@ -53,7 +53,7 @@ from repro import telemetry
 from repro.core.executor import OpResult
 from repro.core.ops import MODE_CODES, PimOp
 from repro.core.stats import OpAccounting
-from repro.core.bitops import popcount_packed, popcount_rows
+from repro.core.bitops import popcount_packed
 from repro.memsim.controller import CommandKind, KIND_CODES
 
 __all__ = [
@@ -449,7 +449,7 @@ class PopcountProgram:
                 ).reshape(new_rows.shape)
             self.mask_ready = True
         if self.tail_mask is not None:
-            new_rows = new_rows & self.tail_mask
+            np.bitwise_and(new_rows, self.tail_mask, out=new_rows)
         count = popcount_packed(new_rows)
         result = OpResult(
             op=op, accounting=acct, steps=self.steps,
@@ -505,7 +505,7 @@ class WaveProgram:
         "n_requests", "n_switches",
         "n_slots", "row_bytes",
         "slot_refs",    # slot -> (item exec pos, role, chunk); role -1 = dest
-        "load_slots",   # np.intp: slots gathered from memory before exec
+        "load_list",    # [int]: slots loaded from memory before exec
         "store_slots",  # np.intp: slots written back, in emission order
         "store_refs",   # parallel to store_slots: (item exec pos, chunk)
         "wb_pos",       # np.intp: frozen.n_bits positions of the widths
@@ -528,14 +528,12 @@ class WaveProgram:
             else:
                 frames[slot] = it.req.sources[role].frames[chunk]
 
+        # each loaded slot is copied once, straight from its frame
         frame_view = memory.frame_view
         buf = np.empty((self.n_slots, self.row_bytes), dtype=np.uint8)
-        if self.load_slots.size:
-            buf[self.load_slots] = np.stack(
-                [frame_view(frames[s]) for s in self.load_slots]
-            )
+        for s in self.load_list:
+            buf[s] = frame_view(frames[s])
         store_frames = [frames[s] for s in self.store_slots]
-        old_rows = np.stack([frame_view(f) for f in store_frames])
 
         for ufunc, dsts, srcs in self.groups:
             if ufunc is None:  # INV
@@ -545,10 +543,10 @@ class WaveProgram:
             else:
                 buf[dsts] = ufunc.reduce(buf[srcs], axis=1)
 
+        # memory still holds the old rows: diff against them in place
         new_rows = buf[self.store_slots]
         self.frozen.n_bits[self.wb_pos] = np.asarray(
-            popcount_rows(np.bitwise_xor(old_rows, new_rows)),
-            dtype=np.float64,
+            memory.diff_bits_rows(store_frames, new_rows), dtype=np.float64
         )
 
         executor.controller.mode_register = self.mode_code
@@ -724,9 +722,7 @@ def build_wave_program(
 
     prog.n_slots = len(slot_refs)
     prog.slot_refs = slot_refs
-    prog.load_slots = np.fromiter(
-        sorted(needs_load), dtype=np.intp, count=len(needs_load)
-    )
+    prog.load_list = sorted(needs_load)
     prog.store_slots = np.asarray(store_slots, dtype=np.intp)
     prog.store_refs = store_refs
     prog.groups = [

@@ -896,12 +896,12 @@ class QueryPlanner:
         # Snapshot result rows straight after the flush -- before any
         # serve write can touch them -- for cache inserts and for the
         # wave's CSE duplicates.
-        frame_view = self.memory.frame_view
+        gather_rows = self.memory.gather_rows
         primary_rows: Dict[int, np.ndarray] = {}
         for it in exec_items:
             if not (it.cacheable or it.has_dups):
                 continue
-            rows = np.stack([frame_view(f) for f in it.dest_frames])
+            rows = gather_rows(it.dest_frames)
             if it.has_dups:
                 primary_rows[id(it)] = rows
             if it.cacheable:
@@ -1139,7 +1139,7 @@ class QueryPlanner:
             bits, result = executor.bitwise_to_host(
                 op, scratch_frames, source_frame_lists, n_bits
             )
-            return int(bits.sum()), result
+            return int(np.count_nonzero(bits)), result
         op = PimOp.parse(op)
         n_chunks = self.geometry.rows_for_bits(n_bits)
         # raw keys are tagged so popcount bindings never collide with
@@ -1167,7 +1167,7 @@ class QueryPlanner:
             bits, result = executor.bitwise_to_host(
                 op, scratch_frames, source_frame_lists, n_bits
             )
-            return int(bits.sum()), result
+            return int(np.count_nonzero(bits)), result
         entry = self.programs.get(key)
         if type(entry) is PopcountProgram:
             PROGRAM_HITS.add()
@@ -1181,7 +1181,7 @@ class QueryPlanner:
             bits, result = executor.bitwise_to_host(
                 op, scratch_frames, source_frame_lists, n_bits
             )
-            return int(bits.sum()), result
+            return int(np.count_nonzero(bits)), result
         executor.record_sink = recorded = []
         try:
             bits, result = executor.bitwise_to_host(
@@ -1202,7 +1202,7 @@ class QueryPlanner:
             COMPILATIONS.add()
             self.stats.compilations += 1
             self.programs.put(key, program)
-        return int(bits.sum()), result
+        return int(np.count_nonzero(bits)), result
 
     def _serve(
         self,

@@ -231,7 +231,7 @@ class PimRuntime:
             bits, result = self.system.executor.bitwise_to_host(
                 op, scratch_frames, source_frame_lists, n_bits
             )
-            count = int(bits.sum())
+            count = int(np.count_nonzero(bits))
         self.driver.stats.instructions += 1
         self.driver.stats.accounting = self.driver.stats.accounting.merged(
             result.accounting

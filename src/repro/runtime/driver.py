@@ -10,8 +10,11 @@ for PIM."  The driver here:
    switch costs a mode-register write) while preserving data dependences
    (a request reading a vector an earlier request writes cannot hop over
    it);
-4. encodes each request as an extended instruction and hands it to the
-   executor.
+4. hands the reordered stream to the executor as one command batch.
+
+The extended instruction each request corresponds to has a byte wire
+format in :mod:`repro.runtime.isa`; its round-trip is covered by the
+ISA tests rather than re-checked on every issue.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from repro.core.executor import OpResult, PinatuboExecutor, PlacementError
 from repro.core.ops import PimOp
 from repro.core.stats import OpAccounting
 from repro.runtime.allocator import BitVectorHandle
-from repro.runtime.isa import PimInstruction, decode_instruction, encode_instruction
 
 #: numpy ufuncs for the host fallback path
 _HOST_UFUNCS = {
@@ -220,15 +222,6 @@ class PimDriver:
                     self.stats.mode_switches += 1
                     _MODE_SWITCHES.add()
                     last_op = req.op
-                instr = PimInstruction(
-                    op=req.op,
-                    dest_frame=req.dest.frames[0],
-                    source_frames=tuple(s.frames[0] for s in req.sources),
-                    n_bits=req.n_bits,
-                )
-                # round-trip through the wire format: the controller sees bytes
-                decoded = decode_instruction(encode_instruction(instr))
-                assert decoded == instr
 
             try:
                 results = self.executor.bitwise_many(

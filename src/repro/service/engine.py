@@ -389,7 +389,7 @@ class ResidentPimEngine(ServiceEngine):
             rt.pim_free(dest)
             out[i] = ExecutedCall(
                 bits=bits,
-                popcount=int(bits.sum()),
+                popcount=int(np.count_nonzero(bits)),
                 latency_s=result.latency * self.config.timing_scale,
                 energy_j=result.energy * self.config.energy_scale,
                 steps=result.steps,
@@ -491,7 +491,7 @@ class ResidentPimEngine(ServiceEngine):
         # one to-host stream materialises the mask bits AND its count
         # (the count is free once the bits crossed the bus)
         bits = mask_bits(pool, mask)
-        popcount = int(bits.sum())
+        popcount = int(np.count_nonzero(bits))
         groups: Optional[Tuple[int, ...]] = None
         if aggregate[0] == "count":
             value = float(popcount)

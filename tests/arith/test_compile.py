@@ -10,8 +10,9 @@ writes, frees and cache evictions all invalidate honestly.
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.apps.analytics import AnalyticsTable, analytics_oracle
-from repro.arith.compile import AnalyticsCompiler, analytics_program_key
+from repro.arith.compile import FALLBACK_REASONS, analytics_program_key
 from repro.runtime.api import PimRuntime
 
 N = 320
@@ -256,3 +257,93 @@ class TestCseHitsPinning:
         table.filter(("cmp", "age", "lt", 30)).count()
         assert planner.stats.cse_hits == 0
         assert planner.stats.cache_hits > 0
+
+
+class TestFallbackReasons:
+    """Every interpreted ``analyze`` is counted under exactly one
+    ``plan.analytics.fallback.<reason>`` counter, and the reasons sum
+    to ``plan.analytics.fallbacks``."""
+
+    @staticmethod
+    def _counts(table):
+        out = {
+            r: telemetry.counter(f"plan.analytics.fallback.{r}").value
+            for r in FALLBACK_REASONS
+        }
+        out["total"] = telemetry.counter("plan.analytics.fallbacks").value
+        out["stats"] = dict(table.compiler.stats.fallback_reasons)
+        return out
+
+    def _assert_one(self, table, before, reason):
+        after = self._counts(table)
+        assert after["total"] - before["total"] == 1
+        for r in FALLBACK_REASONS:
+            assert after[r] - before[r] == int(r == reason), r
+            assert after["stats"][r] - before["stats"][r] == int(r == reason)
+        stats = table.compiler.stats
+        assert sum(stats.fallback_reasons.values()) == stats.fallbacks
+
+    @staticmethod
+    def _steady(table, spec):
+        """Run ``spec`` until it replays (new_constants, recording...)."""
+        for _ in range(4):
+            table.filter(*spec).count()
+        assert table.compiler.stats.replays >= 1
+
+    def test_new_shape(self):
+        table, _ = loaded_table()
+        before = self._counts(table)
+        table.filter(("cmp", "age", "lt", 30)).count()
+        self._assert_one(table, before, "new_shape")
+
+    def test_new_constants(self):
+        table, _ = loaded_table()
+        table.filter(("cmp", "age", "lt", 30)).count()
+        before = self._counts(table)
+        table.filter(("cmp", "age", "lt", 41)).count()
+        self._assert_one(table, before, "new_constants")
+
+    def test_recording(self):
+        table, _ = loaded_table()
+        # the first run enters with no PIM mode set; the second is the
+        # first sighting of the (constants, entry mode) pair it leaves
+        for _ in range(2):
+            table.filter(("cmp", "age", "lt", 30)).count()
+        before = self._counts(table)
+        table.filter(("cmp", "age", "lt", 30)).count()
+        self._assert_one(table, before, "recording")
+
+    def test_evicted(self):
+        table, _ = loaded_table()
+        spec = (("cmp", "age", "ge", 10),)
+        self._steady(table, spec)
+        cache = table.runtime.planner.cache
+        evictions = cache.evictions
+        filler = np.zeros((1, cache.max_bytes // 16), dtype=np.uint8)
+        i = 0
+        while cache.evictions == evictions:
+            assert cache.put(("filler", i), filler, 8, ())
+            i += 1
+        before = self._counts(table)
+        table.filter(*spec).count()
+        self._assert_one(table, before, "evicted")
+
+    def test_leaves_written(self):
+        table, data = loaded_table()
+        spec = (("cmp", "age", "ge", 10),)
+        self._steady(table, spec)
+        plane = table._slices["age"].planes[0]
+        newbits = np.random.default_rng(5).integers(0, 2, N).astype(np.uint8)
+        table.runtime.pim_write(plane, newbits)
+        table._host["age"] = (data["age"] & ~1) | newbits.astype(np.int64)
+        before = self._counts(table)
+        r = table.filter(*spec).count()
+        self._assert_one(table, before, "leaves_written")
+        assert r.popcount == int((table._host["age"] >= 10).sum())
+
+    def test_reasons_in_to_dict(self):
+        table, _ = loaded_table()
+        table.filter(("cmp", "age", "lt", 30)).count()
+        out = table.compiler.to_dict()
+        assert set(out["fallback_reasons"]) == set(FALLBACK_REASONS)
+        assert sum(out["fallback_reasons"].values()) == out["fallbacks"]

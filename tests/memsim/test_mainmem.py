@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memsim.geometry import MemoryGeometry
-from repro.memsim.mainmem import MainMemory, popcount_rows
+from repro.memsim.mainmem import MainMemory, popcount_packed, popcount_rows
 
 
 SMALL = MemoryGeometry(
@@ -190,6 +190,136 @@ class TestBitwiseCompute:
         np.testing.assert_array_equal(result, oracle)
 
 
+#: 8 KB rows: 128 rows per 1 MiB storage block
+BLOCKY = MemoryGeometry(
+    channels=1,
+    ranks_per_channel=1,
+    chips_per_rank=1,
+    banks_per_chip=2,
+    subarrays_per_bank=2,
+    rows_per_subarray=128,
+    mats_per_subarray=1,
+    cols_per_mat=1 << 16,
+    mux_ratio=8,
+)
+
+#: frame lists by placement: inside one block, across a block boundary,
+#: permuted, with a repeat, in a never-written block, and empty
+PLACEMENTS = {
+    "consecutive": [5, 6, 7],
+    "cross_block": [126, 127, 128, 129],
+    "permuted": [40, 3, 200],
+    "repeated": [9, 9, 10],
+    "untouched": [300, 301],
+    "empty": [],
+}
+
+
+class TestRowAccess:
+    """The read-only view contract of ``frame_view`` / ``rows_view``
+    and the fresh-array contract of ``gather_rows``."""
+
+    @pytest.fixture
+    def blocky(self):
+        mem = MainMemory(BLOCKY)
+        rng = np.random.default_rng(0)
+        for frame in range(0, 260):
+            mem.write_frame(
+                frame, rng.integers(0, 256, BLOCKY.row_bytes, dtype=np.uint8)
+            )
+        return mem
+
+    @staticmethod
+    def _reference(mem, frames):
+        return np.array(
+            [mem.frame_bytes(f) for f in frames], dtype=np.uint8
+        ).reshape(len(frames), BLOCKY.row_bytes)
+
+    @pytest.mark.parametrize("frame", [0, 130, 300])
+    def test_frame_view_is_read_only(self, blocky, frame):
+        view = blocky.frame_view(frame)
+        before = blocky.frame_bytes(frame)
+        with pytest.raises(ValueError):
+            view[0] = 1
+        np.testing.assert_array_equal(blocky.frame_bytes(frame), before)
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    def test_rows_view_is_read_only_and_exact(self, blocky, placement):
+        frames = PLACEMENTS[placement]
+        rows = blocky.rows_view(frames)
+        np.testing.assert_array_equal(rows, self._reference(blocky, frames))
+        assert not rows.flags.writeable
+        if frames:
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+
+    def test_consecutive_frames_are_not_copied(self, blocky):
+        frames = PLACEMENTS["consecutive"]
+        rows = blocky.rows_view(frames)
+        # a view of the storage block: a later write shows through
+        new = np.full(BLOCKY.row_bytes, 0xA5, dtype=np.uint8)
+        blocky.write_frame(frames[1], new)
+        np.testing.assert_array_equal(rows[1], new)
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    def test_gather_rows_is_a_fresh_writeable_copy(self, blocky, placement):
+        frames = PLACEMENTS[placement]
+        before = self._reference(blocky, frames)
+        rows = blocky.gather_rows(frames)
+        np.testing.assert_array_equal(rows, before)
+        assert rows.flags.writeable
+        rows ^= 0xFF
+        np.testing.assert_array_equal(self._reference(blocky, frames), before)
+
+    @pytest.mark.parametrize("op", ["or", "and", "xor", "inv"])
+    def test_bitwise_rows_result_is_fresh(self, blocky, op):
+        srcs = [PLACEMENTS["consecutive"], PLACEMENTS["permuted"]]
+        if op == "inv":
+            srcs = srcs[:1]
+        out = blocky.bitwise_rows(op, srcs)
+        expected = np.stack([
+            blocky.bitwise_frames(op, [s[i] for s in srcs]) for i in range(3)
+        ])
+        np.testing.assert_array_equal(out, expected)
+        snapshot = blocky.gather_rows(range(260))
+        out ^= 0xFF
+        np.testing.assert_array_equal(blocky.gather_rows(range(260)), snapshot)
+
+    @pytest.mark.parametrize("frames", [[-1, 0], [511, 512], [512]])
+    def test_out_of_range_rejected(self, blocky, frames):
+        with pytest.raises(ValueError):
+            blocky.rows_view(frames)
+        with pytest.raises(ValueError):
+            blocky.write_frames(
+                frames, np.zeros((len(frames), BLOCKY.row_bytes), np.uint8)
+            )
+        assert blocky.total_writes == 260
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    def test_write_frames_matches_per_frame_writes(self, placement):
+        frames = PLACEMENTS[placement]
+        rng = np.random.default_rng(1)
+        batched, serial = MainMemory(BLOCKY), MainMemory(BLOCKY)
+        for _ in range(3):
+            rows = rng.integers(
+                0, 256, (len(frames), BLOCKY.row_bytes), dtype=np.uint8
+            )
+            batched.write_frames(frames, rows)
+            for frame, row in zip(frames, rows):
+                serial.write_frame(frame, row)
+            frames = frames[1:] + frames[:1]
+        for mem in (batched, serial):
+            assert mem.frames_in_use == mem.frames_written
+        assert batched.write_histogram() == serial.write_histogram()
+        assert (batched.total_writes, batched.frames_written, batched.max_writes) == (
+            serial.total_writes, serial.frames_written, serial.max_writes
+        )
+        every = range(BLOCKY.total_rows)
+        np.testing.assert_array_equal(
+            batched.gather_rows(every), serial.gather_rows(every)
+        )
+
+
 class TestPopcountRows:
     """``popcount_rows`` against a byte-table reference: the 8-bytes-
     at-a-time path and the byte path must count identically."""
@@ -228,6 +358,25 @@ class TestPopcountRows:
         )
         arr = view(base)
         assert popcount_rows(arr) == self._reference(arr)
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda a: a,
+            lambda a: a[0],  # one 1-D row, width a multiple of 8
+            lambda a: a[0, :13],  # 1-D, width not a multiple of 8
+            lambda a: a[::2],
+            lambda a: a[:, 1:17],
+            lambda a: a.T.copy().T,
+            lambda a: a[:0],
+        ],
+    )
+    def test_popcount_packed_matches_reference(self, view):
+        base = np.random.default_rng(9).integers(
+            0, 256, (6, 64), dtype=np.uint8
+        )
+        arr = view(base)
+        assert popcount_packed(arr) == int(self.TABLE[arr].sum())
 
     @pytest.mark.parametrize("width", [0, 8, 13])
     def test_zero_rows(self, width):

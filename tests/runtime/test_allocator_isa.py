@@ -1,11 +1,14 @@
 """Tests for pim_malloc handles and the extended-ISA encoding."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ops import PimOp
+from repro.core.ops import PimOp, operand_limits
 from repro.memsim.geometry import MemoryGeometry
+from repro.nvm.technology import get_technology
 from repro.runtime.allocator import AllocationError, BitVectorHandle, PimAllocator
 from repro.runtime.isa import (
     PimInstruction,
@@ -105,6 +108,34 @@ class TestIsaEncoding:
             PimInstruction(PimOp.OR, 0, (), 8)
         with pytest.raises(ValueError):
             PimInstruction(PimOp.OR, 0, (1,), 0)
+
+    @pytest.mark.parametrize("op", list(PimOp))
+    def test_roundtrip_every_op_and_source_count(self, op):
+        # one to the widest one-step OR the sensing margin allows
+        max_sources = operand_limits(get_technology("pcm")).or_rows
+        assert max_sources == 128
+        for n_src in range(1, max_sources + 1):
+            sources = tuple(range(7, 7 + 3 * n_src, 3))
+            instr = PimInstruction(op, 5, sources, 4096)
+            payload = encode_instruction(instr)
+            assert len(payload) == 24 + 8 * n_src
+            assert decode_instruction(payload) == instr
+
+    @pytest.mark.parametrize("op", list(PimOp))
+    @pytest.mark.parametrize("n_bits", [1, 8, 63, 64, SMALL.row_bits,
+                                        SMALL.row_bits + 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("frame", [0, 1, 2**32 - 1, 2**64 - 1])
+    def test_roundtrip_boundary_widths(self, op, n_bits, frame):
+        instr = PimInstruction(op, frame, (frame, 0), n_bits)
+        assert decode_instruction(encode_instruction(instr)) == instr
+
+    def test_unencodable_width_rejected(self):
+        for instr in (
+            PimInstruction(PimOp.OR, 0, (1,), 2**64),
+            PimInstruction(PimOp.OR, 2**64, (1,), 8),
+        ):
+            with pytest.raises(struct.error):
+                encode_instruction(instr)
 
     @given(
         dest=st.integers(0, 2**40),
