@@ -33,15 +33,16 @@ Honesty rules, in the same spirit as the planner's serve pricing:
   host accounting the interpreted path feeds, bumps the same
   request/instruction/mode-switch tallies, and restores the
   executor's mode register to the recorded exit state.
-- Replays are validated against the planner's write-version vector: a
-  program snapshots the version **sum** over every leaf frame it read
-  (column planes, bitmap bins, the scratch-pool constants), and a
-  replay is only served while that sum -- monotone, so sum equality is
-  elementwise equality -- is unchanged (with the planner's write epoch
-  as the O(1) fast path).  Frees of any leaf drop the program via an
-  allocator free listener, and sub-result-cache *evictions* (byte
-  pressure) drop all pricing records, because the recorded serve
-  pricing assumed those entries stayed resident.
+- Replays are validated through the planner's replay-validity
+  protocol: a program holds a
+  :class:`~repro.plan.planner.VersionStamp` over every leaf frame it
+  read (column planes, bitmap bins, the scratch-pool constants), and
+  its records replay only while :meth:`QueryPlanner.fresh` holds for
+  it.  Writes and frees are both version events, so a written leaf and
+  a freed one (its rows may be recycled, rewritten or not) drop the
+  records alike; the next record re-binds the leaves.  Sub-result-cache
+  *evictions* (byte pressure) drop all records too, because the
+  recorded serve pricing assumed those entries stayed resident.
 
 Telemetry lands under ``plan.analytics.*``; per-compiler tallies are
 on :class:`AnalyticsStats` (surfaced in BENCH_arith.json).
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 import numpy as np
 
@@ -173,9 +174,7 @@ class AnalyticsProgram:
 
     __slots__ = (
         "key",
-        "leaf_farr",  # np.intp array of every frame the query reads
-        "vsum",  # planner version sum over leaf_farr at record time
-        "epoch",  # planner write epoch at last successful validation
+        "stamp",  # VersionStamp over every frame the query reads, or None
         "evictions",  # SubResultCache eviction count at record time
         "records",  # OrderedDict[(constants, entry_mode)] -> _Record
         "sightings",  # (constants, entry_mode) pairs seen exactly once
@@ -186,9 +185,7 @@ class AnalyticsProgram:
 
     def __init__(self, key):
         self.key = key
-        self.leaf_farr: Optional[np.ndarray] = None
-        self.vsum = -1
-        self.epoch = -1
+        self.stamp = None
         self.evictions = -1
         self.records: "OrderedDict[tuple, _Record]" = OrderedDict()
         self.sightings: Set[tuple] = set()
@@ -299,17 +296,19 @@ class _Tape:
         else:
             rec.packed_bits = np.packbits(bits)
             rec.n_bits = int(bits.size)
-        if program.leaf_farr is None:
-            compiler._bind_leaves(program, self.leaves_fn())
+        planner = compiler.planner
+        if program.stamp is None:
+            frames = [f for handle in self.leaves_fn() for f in handle.frames]
+            farr = np.unique(np.asarray(frames, dtype=np.intp))
+        else:
+            farr = program.stamp.farr
+        program.stamp = planner.stamp(farr)
+        program.evictions = planner.cache.evictions
         program.records[self.entry] = rec
         program.records.move_to_end(self.entry)
         while len(program.records) > _MAX_RECORDS:
             program.records.popitem(last=False)
         program.sightings.discard(self.entry)
-        planner = compiler.planner
-        program.vsum = int(planner._versions[program.leaf_farr].sum())
-        program.epoch = planner._write_epoch
-        program.evictions = planner.cache.evictions
         compiler.stats.compiles += 1
         _COMPILES.add()
         return True
@@ -356,7 +355,7 @@ class AnalyticsCompiler:
 
     Disabled (every call a fast no-op) unless the runtime has a planner
     with wave compilation on -- the compiler sits strictly *above* the
-    planner and relies on its version vector for validation and on its
+    planner and relies on its version stamps for validation and on its
     steady-state serve pricing for the recorded deltas.
     """
 
@@ -369,7 +368,6 @@ class AnalyticsCompiler:
         #: shape key -> AnalyticsProgram, bounded LRU (the same store
         #: the wave compiler uses for its programs)
         self.programs = ProgramCache(max_programs)
-        self._frame_index: Dict[int, Set[tuple]] = {}
         self._token = 0
         #: why the last :meth:`replay` dropped a program's records
         #: (``evicted`` / ``leaves_written``), for the :meth:`observe`
@@ -377,7 +375,6 @@ class AnalyticsCompiler:
         self._drop_reason: Optional[str] = None
         if self.enabled:
             self.executor = runtime.system.executor
-            runtime.allocator.add_free_listener(self._on_free)
 
     # -- batching (engine fusion) --------------------------------------------
 
@@ -405,16 +402,20 @@ class AnalyticsCompiler:
         if not self.enabled:
             return None
         program = self.programs.get(key)
-        if program is None or program.leaf_farr is None:
+        if program is None:
             return None
         entry = (constants, self.executor._current_mode)
         rec = program.records.get(entry)
         if rec is None:
             return None
-        reason = self._invalid(program, token)
-        if reason is not None:
-            self._drop_reason = reason
-            return None
+        if token is None or program.batch_token != token:
+            reason = self._invalid(program)
+            if reason is not None:
+                self._drop_reason = reason
+                return None
+            if token is not None:
+                program.batch_token = token
+                program.batch_replays = 0
         program.records.move_to_end(entry)
         self._apply(rec)
         if token is not None:
@@ -446,6 +447,9 @@ class AnalyticsCompiler:
         program = self.programs.get(key)
         entry = (constants, self.executor._current_mode)
         reason, self._drop_reason = self._drop_reason, None
+        if reason is None and program is not None and program.stamp is not None:
+            # a stale program restarts before this run can record into it
+            reason = self._invalid(program)
         if reason is None:
             if program is None:
                 reason = "new_shape"
@@ -471,78 +475,29 @@ class AnalyticsCompiler:
 
     # -- validation / invalidation -------------------------------------------
 
-    def _invalid(
-        self, program: AnalyticsProgram, token: Optional[int]
-    ) -> Optional[str]:
-        """``None`` when the program's records may replay, else the
-        fallback reason they were dropped for."""
-        if token is not None and program.batch_token == token:
-            return None
+    def _invalid(self, program: AnalyticsProgram) -> Optional[str]:
+        """``None`` when the program's records may replay; otherwise
+        drop them and return the fallback reason."""
         planner = self.planner
         if program.evictions != planner.cache.evictions:
             # byte pressure evicted cached sub-results somewhere: the
             # recorded serve pricing may assume entries that are gone
-            self._reset(program)
-            return "evicted"
-        if program.epoch != planner._write_epoch:
-            vsum = int(planner._versions[program.leaf_farr].sum())
-            if vsum != program.vsum:
-                self._reset(program)
-                return "leaves_written"
-            program.epoch = planner._write_epoch
-        if token is not None:
-            program.batch_token = token
-            program.batch_replays = 0
-        return None
-
-    def _reset(self, program: AnalyticsProgram) -> None:
-        """Drop a program's records (shape + leaves survive)."""
+            reason = "evicted"
+        elif not planner.fresh(program.stamp):
+            reason = "leaves_written"
+        else:
+            return None
         program.records.clear()
         program.sightings.clear()
-        program.vsum = -1
-        program.epoch = -1
+        program.stamp = None
         program.evictions = -1
         program.batch_token = -1
+        # the leaves may have moved (freed and reloaded), and a fresh
+        # scratch pool must fill in the interpreted run's own order
+        program.scratch_high_water = 0
         self.stats.invalidations += 1
         _INVALIDATIONS.add()
-
-    def _bind_leaves(self, program: AnalyticsProgram, handles) -> None:
-        frames: List[int] = []
-        for handle in handles:
-            frames.extend(handle.frames)
-        farr = np.unique(np.asarray(frames, dtype=np.intp))
-        program.leaf_farr = farr
-        index = self._frame_index
-        key = program.key
-        for f in farr.tolist():
-            keys = index.get(f)
-            if keys is None:
-                index[f] = {key}
-            else:
-                keys.add(key)
-
-    def _on_free(self, handle) -> None:
-        """Allocator free hook: drop programs reading freed frames."""
-        index = self._frame_index
-        if not index:
-            return
-        dropped: Set[tuple] = set()
-        for f in handle.frames:
-            keys = index.get(f)
-            if keys:
-                dropped.update(keys)
-        for key in dropped:
-            program = self.programs.discard(key)
-            if program is None or program.leaf_farr is None:
-                continue
-            for f in program.leaf_farr.tolist():
-                keys = index.get(f)
-                if keys is not None:
-                    keys.discard(key)
-                    if not keys:
-                        del index[f]
-            self.stats.invalidations += 1
-            _INVALIDATIONS.add()
+        return reason
 
     # -- replay application --------------------------------------------------
 

@@ -112,46 +112,25 @@ class MainMemory:
         self._block_writes: Dict[int, np.ndarray] = {}
         self._zero_row = np.zeros(geometry.row_bytes, dtype=np.uint8)
         self._zero_row.flags.writeable = False
-        self._write_listeners: List = []
-        self._bulk_listeners: List = []
         self._delta_listeners: List = []
 
-    def add_write_listener(self, callback) -> None:
-        """Register ``callback(frame)`` to fire on every frame program.
+    def add_delta_write_listener(self, listener) -> None:
+        """Register a write observer fired once per write call.
 
         The hook sits on the single write choke point every path funnels
-        through (driver execution, host writes, fallbacks), which is what
-        the planning layer's precise cache invalidation rides on -- the
-        same point the wear/endurance counters already observe.
-        """
-        self._write_listeners.append(callback)
-
-    def add_bulk_write_listener(self, callback) -> None:
-        """Register ``callback(frames)`` fired once per write call.
-
-        The batched flavour of :meth:`add_write_listener`:
-        :meth:`write_frame` fires it with a 1-tuple, :meth:`write_frames`
-        once with the whole frame sequence (in write order, after the
-        block lands).  Observers that only need "these frames changed" --
-        the planner's version bump and cache invalidation -- amortise
-        their per-call overhead across the batch instead of paying it
-        per row.
-        """
-        self._bulk_listeners.append(callback)
-
-    def add_delta_write_listener(self, listener) -> None:
-        """Register a delta observer fired once per write call.
-
-        ``listener`` exposes two methods: ``wants_delta(frames) -> bool``
-        is asked *before* the write lands, and ``on_write(frames, farr,
-        deltas)`` fires after it.  When the listener wanted the delta,
-        ``farr`` is the deduplicated ``np.intp`` frame array and
+        through (driver execution, host writes, fallbacks, serves) --
+        the same point the wear counters observe -- and is what the
+        planning layer's versioning, cache invalidation and delta
+        repair ride on.  ``listener`` exposes two methods:
+        ``wants_delta(frames) -> bool`` is asked *before* the write
+        lands, and ``on_write(frames, farr, deltas)`` fires after it
+        with the frames in write order.  When the listener wanted the
+        delta, ``farr`` is the deduplicated ``np.intp`` frame array and
         ``deltas`` the matching ``old XOR new`` packed rows; otherwise
-        both are ``None`` and the call degrades to the bulk-listener
-        contract.  The XOR is computed in the functional model only --
-        the write path already reads and programs those rows, so delta
-        capture adds no simulated cost; pricing happens when (and if)
-        a repair consumes the delta.
+        both are ``None``.  The XOR is computed in the functional model
+        only -- the write path already reads and programs those rows, so
+        delta capture adds no simulated cost; pricing happens when (and
+        if) a repair consumes the delta.
         """
         self._delta_listeners.append(listener)
 
@@ -222,12 +201,6 @@ class MainMemory:
             self.max_writes = count
         self.total_writes += 1
         _FRAME_WRITES.add()
-        if self._write_listeners:
-            for callback in self._write_listeners:
-                callback(frame)
-        if self._bulk_listeners:
-            for callback in self._bulk_listeners:
-                callback(frames)
         if self._delta_listeners:
             farr = deltas = None
             if old is not None:
@@ -246,7 +219,7 @@ class MainMemory:
         with one slice store and one slice bump of their program
         counts; any other frame list takes one fancy-indexed assignment
         per touched block.  Same copy-in, same endurance bump, same
-        listener firing as the per-frame path, without per-row Python
+        listener call as the per-frame path, without per-row Python
         work.  The compiled replay and serve paths funnel their stores
         through here.
         """
@@ -295,15 +268,8 @@ class MainMemory:
                     self._count_writes(
                         self._block_writes[int(block_index)], rows[sel]
                     )
-        if self._write_listeners:
-            for frame in frames:
-                for callback in self._write_listeners:
-                    callback(frame)
         self.total_writes += n
         _FRAME_WRITES.add(n)
-        if self._bulk_listeners:
-            for callback in self._bulk_listeners:
-                callback(frames)
         if self._delta_listeners:
             deltas = None
             if old_rows is not None:
@@ -335,11 +301,6 @@ class MainMemory:
         if writes is None:
             return 0
         return int(writes[frame & self._block_mask])
-
-    @property
-    def frames_in_use(self) -> int:
-        """Distinct frames ever programmed (the maintained count)."""
-        return self.frames_written
 
     def write_histogram(self) -> dict:
         """{frame: program count} for every frame ever written."""

@@ -5,12 +5,12 @@ and the batched driver.  For every request it builds a **canonical
 expression key**:
 
 - a *leaf* is the tuple ``("L", frames, versions)`` -- the identity of
-  a run of row frames at their current write versions, encoded as the
-  raw bytes of the frame-number and version arrays (versions are bumped
-  by the main memory's write listener, so any write to a row changes
-  every key that reads it).  Leaf keys are memoized per vector id and
-  revalidated with one vectorized version compare, so the hot path
-  never re-derives them;
+  a run of row frames at their current versions, encoded as the raw
+  bytes of the frame-number and version arrays (every write and every
+  free bumps a row's version, so either changes every key that reads
+  it).  Leaf keys are memoized per vector id under a
+  :class:`VersionStamp` and revalidated by :meth:`QueryPlanner.fresh`,
+  so the hot path never re-derives them;
 - a handle whose content was produced by an earlier planned request
   resolves to that request's *expression key* instead of its raw
   frames (the binding survives as long as the destination rows are
@@ -38,8 +38,8 @@ Correctness invariants:
 
 - versions only increase, and every key embeds the versions of its
   transitive leaf frames, so a cache entry can never be returned for
-  changed operands (eager invalidation via the write listener also
-  reclaims the entry's bytes immediately);
+  changed operands (eager invalidation via the write and free hooks
+  also reclaims the entry's bytes immediately);
 - a wave is flushed before admitting an exec-bound request that reads
   or writes any frame a pending serve item will write, or writes a
   frame a pending exec item writes -- the only orderings where
@@ -85,7 +85,7 @@ from repro.plan.compile import (
 )
 from repro.runtime.driver import PimDriver, PimRequest
 
-__all__ = ["PlanStats", "QueryPlanner", "forward_rows"]
+__all__ = ["PlanStats", "QueryPlanner", "VersionStamp", "forward_rows"]
 
 #: persistent expression bindings kept per planner (vid -> producing
 #: expression); a plain LRU bound -- bindings are an optimisation hint,
@@ -150,6 +150,14 @@ def forward_rows(
     acct.count_bits(n_bits)
     driver.stats.accounting = driver.stats.accounting.merged(acct)
     return OpResult(op=op, accounting=acct, steps=0, localities={})
+
+
+def _as_bits(bits):
+    return bits
+
+
+def _count_set(bits) -> int:
+    return int(np.count_nonzero(bits))
 
 
 class PlanStats:
@@ -285,6 +293,41 @@ class _Wave:
         self.bind: Dict[int, Tuple[tuple, tuple, FrozenSet[int]]] = {}
 
 
+class VersionStamp:
+    """The write versions of one frame set at one instant.
+
+    Every replay record in the stack carries one: the planner's
+    expression bindings and raw-leaf key memo, and the analytics
+    compiler's whole-query programs.  :meth:`QueryPlanner.fresh` is the
+    one test of whether a stamp still holds.
+    """
+
+    __slots__ = (
+        "farr",  # np.intp frame array
+        "snapshot",  # versions of farr when the stamp was taken
+        "vsum",  # int(snapshot.sum())
+        "epoch",  # planner write epoch of the last successful check
+    )
+
+    def __init__(self, farr, snapshot, vsum: int, epoch: int):
+        self.farr = farr
+        self.snapshot = snapshot
+        self.vsum = vsum
+        self.epoch = epoch
+
+
+class _Binding:
+    """A vector's resolved key, valid while its frames' stamp holds."""
+
+    __slots__ = ("frames", "stamp", "key", "leaves")
+
+    def __init__(self, frames, stamp, key, leaves):
+        self.frames = frames
+        self.stamp = stamp
+        self.key = key
+        self.leaves = leaves
+
+
 class _ResidentItem:
     """One replayable cache serve: everything a re-serve needs.
 
@@ -352,20 +395,18 @@ class QueryPlanner:
         #: (n_bits, channels bytes) -> ServeTemplate
         self._serve_templates: Dict[tuple, object] = {}
         self.stats = PlanStats()
-        #: authoritative write versions, dense per frame (row counts are
+        #: authoritative versions, dense per frame (row counts are
         #: modest even for the 64 GiB geometry -- capacity lives in row
-        #: *width*); a frame never written since the planner attached
-        #: stays at version 0
+        #: *width*), bumped by every write and every free; a frame never
+        #: touched since the planner attached stays at version 0
         self._versions = np.zeros(self.geometry.total_rows, dtype=np.int64)
-        #: bumps once per write call; a memo entry validated at the
-        #: current epoch needs no version re-check (see :meth:`_leaf_key`)
+        #: bumps once per write or free call; a stamp checked at the
+        #: current epoch needs no version re-check (see :meth:`fresh`)
         self._write_epoch = 0
-        #: vid -> [frames, frames array, version snapshot array, version
-        #: sum, expression key, leaf frames, validated epoch]
-        self._bound: "OrderedDict[int, list]" = OrderedDict()
-        #: vid -> [n_chunks, frames, frames array, version sum, leaf
-        #: key, leaf frames, validated epoch] -- raw-operand key memo
-        self._leaf_keys: "OrderedDict[int, list]" = OrderedDict()
+        #: vid -> the producing expression of its destination frames
+        self._bound: "OrderedDict[int, _Binding]" = OrderedDict()
+        #: vid -> raw-operand leaf key memo
+        self._leaf_keys: "OrderedDict[int, _Binding]" = OrderedDict()
         #: serve-wave composition (tuple of templates) -> frozen batch,
         #: so recurring compositions reuse one memo-priced batch object
         self._serve_batches: Dict[tuple, object] = {}
@@ -418,6 +459,23 @@ class QueryPlanner:
         call with the programmed frames: bump their versions, then
         either repair the cached sub-results that read them (a delta
         was captured) or drop them (PR-6 eager invalidation)."""
+        self._bump(frames)
+        if deltas is None:
+            self.cache.invalidate_frames(frames)
+        else:
+            self._repair.on_delta(farr, deltas)
+
+    def on_free(self, handle) -> None:
+        """Allocator free hook: a freed vector's rows may be recycled,
+        with or without a rewrite, so a free is a version event like a
+        write -- every stamp over those frames goes stale -- and any
+        sub-results reading them go now."""
+        self._bump(handle.frames)
+        self._bound.pop(handle.vid, None)
+        self._leaf_keys.pop(handle.vid, None)
+        self.cache.invalidate_frames(handle.frames)
+
+    def _bump(self, frames) -> None:
         self._write_epoch += 1
         versions = self._versions
         if len(frames) == 1:
@@ -430,21 +488,39 @@ class QueryPlanner:
                 np.fromiter(frames, dtype=np.intp, count=len(frames)),
                 1,
             )
-        if deltas is None:
-            self.cache.invalidate_frames(frames)
-        else:
-            self._repair.on_delta(farr, deltas)
 
-    def _on_frames_written(self, frames) -> None:
-        """Bulk-listener compatibility shim: invalidation-only entry."""
-        self.on_write(frames)
+    # -- replay validity -----------------------------------------------------
 
-    def on_free(self, handle) -> None:
-        """Allocator free hook: a freed vector's rows may be recycled, so
-        its bindings and any sub-results reading its frames go now."""
-        self._bound.pop(handle.vid, None)
-        self._leaf_keys.pop(handle.vid, None)
-        self.cache.invalidate_frames(handle.frames)
+    def stamp(self, farr: np.ndarray) -> VersionStamp:
+        """Stamp the current versions of the frames in ``farr``."""
+        snapshot = self._versions[farr]
+        return VersionStamp(
+            farr, snapshot, int(snapshot.sum()), self._write_epoch
+        )
+
+    def fresh(self, stamp: VersionStamp, prefix: Optional[int] = None) -> bool:
+        """True while no frame of ``stamp`` was written or freed since
+        it was taken (only its first ``prefix`` frames, if given).
+
+        A stamp checked at the current write epoch holds without
+        touching an array.  Otherwise the whole set is checked by
+        version *sum*: versions only ever increment, so sum equality
+        over the same frames is elementwise equality.  A prefix proves
+        nothing about the rest, so it is compared elementwise and never
+        advances the stamp's epoch.
+        """
+        epoch = self._write_epoch
+        if stamp.epoch == epoch:
+            return True
+        versions = self._versions
+        if prefix is not None and prefix < stamp.farr.size:
+            return bool(
+                (versions[stamp.farr[:prefix]] == stamp.snapshot[:prefix]).all()
+            )
+        if int(versions[stamp.farr].sum()) != stamp.vsum:
+            return False
+        stamp.epoch = epoch
+        return True
 
     # -- canonicalisation ----------------------------------------------------
 
@@ -460,60 +536,23 @@ class QueryPlanner:
             bframes, key, leaves = pending
             if len(bframes) >= n_chunks and bframes[:n_chunks] == frames:
                 return key, leaves
-        # version snapshots are validated by *sum*: versions only ever
-        # increment, so sum equality over the same frames is equivalent
-        # to elementwise equality -- one scalar compare instead of an
-        # elementwise one on every memo probe.  Cheaper still: an entry
-        # whose ``epoch`` slot equals the global write epoch was
-        # validated after the last write anywhere, so its versions
-        # cannot have moved -- no array touch at all.
-        epoch = self._write_epoch
+        fresh = self.fresh
         bound = self._bound.get(handle.vid)
-        if bound is not None:
-            bframes = bound[0]
-            if len(bframes) == n_chunks:
-                if bframes == frames and (
-                    bound[6] == epoch
-                    or int(self._versions[bound[1]].sum()) == bound[3]
-                ):
-                    bound[6] = epoch
-                    self._bound.move_to_end(handle.vid)
-                    return bound[4], bound[5]
-            elif (
-                len(bframes) > n_chunks
-                and bframes[:n_chunks] == frames
-                and (
-                    bound[6] == epoch
-                    or (
-                        self._versions[bound[1][:n_chunks]]
-                        == bound[2][:n_chunks]
-                    ).all()
-                )
-            ):
-                # prefix-only validation: leave the epoch slot alone
-                # (it asserts whole-entry freshness)
-                self._bound.move_to_end(handle.vid)
-                return bound[4], bound[5]
+        if (
+            bound is not None
+            and bound.frames[:n_chunks] == frames
+            and fresh(bound.stamp, n_chunks)
+        ):
+            self._bound.move_to_end(handle.vid)
+            return bound.key, bound.leaves
         cached = self._leaf_keys.get(handle.vid)
-        if cached is not None:
-            if (
-                cached[0] == n_chunks
-                and cached[1] == frames
-                and (
-                    cached[6] == epoch
-                    or int(self._versions[cached[2]].sum()) == cached[3]
-                )
-            ):
-                cached[6] = epoch
-                self._leaf_keys.move_to_end(handle.vid)
-                return cached[4], cached[5]
-        farr = np.fromiter(frames, dtype=np.intp, count=n_chunks)
-        snapshot = self._versions[farr]
-        key = ("L", farr.tobytes(), snapshot.tobytes())
+        if cached is not None and cached.frames == frames and fresh(cached.stamp):
+            self._leaf_keys.move_to_end(handle.vid)
+            return cached.key, cached.leaves
+        stamp = self.stamp(np.fromiter(frames, dtype=np.intp, count=n_chunks))
+        key = ("L", stamp.farr.tobytes(), stamp.snapshot.tobytes())
         leaves = frozenset(frames)
-        self._leaf_keys[handle.vid] = [
-            n_chunks, frames, farr, int(snapshot.sum()), key, leaves, epoch
-        ]
+        self._leaf_keys[handle.vid] = _Binding(frames, stamp, key, leaves)
         while len(self._leaf_keys) > _MAX_BINDINGS:
             self._leaf_keys.popitem(last=False)
         return key, leaves
@@ -747,12 +786,11 @@ class QueryPlanner:
             self.driver.stats.accounting = driver_acct
             stats.served_latency_s += latency
             stats.served_energy_j += energy
-        versions = self._versions
         bound = self._bound
         epoch = self._write_epoch
-        # one fancy-index + one reduction for every binding snapshot:
-        # the run's frames are already concatenated in ``frames_arr``
-        all_snap = versions[frames_arr]
+        # one fancy-index + one reduction for every binding stamp: the
+        # run's frames are already concatenated in ``frames_arr``
+        all_snap = self._versions[frames_arr]
         starts = 0
         vsums = None
         if k > 1 and all(m[1].n_chunks == matched[0][1].n_chunks for m in matched):
@@ -771,9 +809,10 @@ class QueryPlanner:
                 snapshot = all_snap[starts : starts + res.n_chunks]
                 starts += res.n_chunks
                 vsum = int(snapshot.sum())
-            bound[vid] = [
-                dest, farr, snapshot, vsum, res.key, res.leaves, epoch,
-            ]
+            bound[vid] = _Binding(
+                dest, VersionStamp(farr, snapshot, vsum, epoch), res.key,
+                res.leaves,
+            )
             bound.move_to_end(vid)
         while len(bound) > _MAX_BINDINGS:
             bound.popitem(last=False)
@@ -913,25 +952,16 @@ class QueryPlanner:
                 self._record_resident(serve_items, results)
 
         # Persistent bindings: every destination now holds its
-        # expression's value; snapshot the (final) versions so any later
-        # write is detected.  Submission order makes the last writer of
-        # a vid win.
-        versions = self._versions
-        epoch = self._write_epoch
+        # expression's value; stamp the (final) versions so any later
+        # write or free is detected.  Submission order makes the last
+        # writer of a vid win.
         for it in wave.items:
-            farr = np.fromiter(
-                it.dest_frames, dtype=np.intp, count=it.n_chunks
+            stamp = self.stamp(
+                np.fromiter(it.dest_frames, dtype=np.intp, count=it.n_chunks)
             )
-            snapshot = versions[farr]
-            self._bound[it.req.dest.vid] = [
-                it.dest_frames,
-                farr,
-                snapshot,
-                int(snapshot.sum()),
-                it.key,
-                it.leaves,
-                epoch,
-            ]
+            self._bound[it.req.dest.vid] = _Binding(
+                it.dest_frames, stamp, it.key, it.leaves
+            )
             self._bound.move_to_end(it.req.dest.vid)
         while len(self._bound) > _MAX_BINDINGS:
             self._bound.popitem(last=False)
@@ -987,8 +1017,14 @@ class QueryPlanner:
                 self.driver.last_order,
             )
             dt = perf_counter() - t0
-        COMPILE_SECONDS.add(dt)
-        self.stats.compile_seconds += dt
+        self._store_program(key, program, dt)
+        return flush_results
+
+    def _store_program(self, key, program, seconds: float) -> None:
+        """File a freshly lowered program (``None``: the shape cannot
+        compile, and is marked so forever) and tally its compile time."""
+        COMPILE_SECONDS.add(seconds)
+        self.stats.compile_seconds += seconds
         if program is None:
             UNCOMPILABLE_SHAPES.add()
             self.programs.put(key, UNCOMPILABLE)
@@ -996,7 +1032,6 @@ class QueryPlanner:
             COMPILATIONS.add()
             self.stats.compilations += 1
             self.programs.put(key, program)
-        return flush_results
 
     def _interpret_exec(self, exec_items: List[_Item]) -> List[OpResult]:
         driver = self.driver
@@ -1027,62 +1062,77 @@ class QueryPlanner:
         # inert on the compiled fast path)
         self._wave_depth += 1
         try:
-            return self._execute_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
+            return self._to_host_program(
+                op, scratch_frames, source_frame_lists, n_bits, "to_host",
+                ToHostProgram, build_to_host_program, _as_bits,
             )
         finally:
             self._wave_depth -= 1
 
-    def _execute_to_host(
+    def _to_host_program(
         self,
         op,
         scratch_frames: Sequence[int],
         source_frame_lists: Sequence[Sequence[int]],
         n_bits: int,
+        kind: str,
+        program_type,
+        build,
+        reduce,
     ):
+        """The to-host program lifecycle: freeze on first sight, replay
+        from the second on.
+
+        ``build`` lowers a recorded run into a ``program_type``, and
+        ``reduce`` turns the interpreted run's host bits into what the
+        program's replay returns.  Shape keys of non-plain kinds are
+        tagged, so a popcount program never answers a plain to-host
+        call over the same operands.
+        """
         executor = self.executor
-        if not self.compile_enabled:
-            return executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
+        key = None
+        if self.compile_enabled:
+            op = PimOp.parse(op)
+            n_chunks = self.geometry.rows_for_bits(n_bits)
+            mode = executor._current_mode
+            # shape keys are geometry-pure, so memo them by raw operand
+            # identity: scratch rotates through a finite pool and the
+            # same frame tuples recur indefinitely
+            raw = (
+                kind,
+                op,
+                n_bits,
+                mode,
+                tuple(scratch_frames),
+                tuple(tuple(s) for s in source_frame_lists),
             )
-        op = PimOp.parse(op)
-        n_chunks = self.geometry.rows_for_bits(n_bits)
-        # shape keys are geometry-pure, so memo them by raw operand
-        # identity: scratch rotates through a finite pool and the same
-        # frame tuples recur indefinitely
-        raw = (
-            op,
-            n_bits,
-            executor._current_mode,
-            tuple(scratch_frames),
-            tuple(tuple(s) for s in source_frame_lists),
-        )
-        key = self._to_host_keys.get(raw)
-        if key is None and raw not in self._to_host_keys:
-            key = to_host_shape_key(
-                executor.mapper, op, scratch_frames, source_frame_lists,
-                n_bits, n_chunks, executor._current_mode,
-            )
-            if len(self._to_host_keys) >= _MAX_BINDINGS:
-                self._to_host_keys.clear()
-            self._to_host_keys[raw] = key
-        if key is None:
-            return executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        entry = self.programs.get(key)
-        if type(entry) is ToHostProgram:
-            PROGRAM_HITS.add()
-            self.stats.program_hits += 1
-            return entry.replay(
-                executor, scratch_frames, source_frame_lists, n_bits
-            )
-        PROGRAM_MISSES.add()
-        self.stats.program_misses += 1
+            key = self._to_host_keys.get(raw)
+            if key is None and raw not in self._to_host_keys:
+                key = to_host_shape_key(
+                    executor.mapper, op, scratch_frames, source_frame_lists,
+                    n_bits, n_chunks, mode,
+                )
+                if key is not None and kind != "to_host":
+                    key = (kind,) + key
+                if len(self._to_host_keys) >= _MAX_BINDINGS:
+                    self._to_host_keys.clear()
+                self._to_host_keys[raw] = key
+        entry = UNCOMPILABLE
+        if key is not None:
+            entry = self.programs.get(key)
+            if type(entry) is program_type:
+                PROGRAM_HITS.add()
+                self.stats.program_hits += 1
+                return entry.replay(
+                    executor, scratch_frames, source_frame_lists, n_bits
+                )
+            PROGRAM_MISSES.add()
+            self.stats.program_misses += 1
         if entry is UNCOMPILABLE:
-            return executor.bitwise_to_host(
+            bits, result = executor.bitwise_to_host(
                 op, scratch_frames, source_frame_lists, n_bits
             )
+            return reduce(bits), result
         executor.record_sink = recorded = []
         try:
             bits, result = executor.bitwise_to_host(
@@ -1090,20 +1140,12 @@ class QueryPlanner:
             )
         finally:
             executor.record_sink = None
-        with telemetry.span("plan.compile.program", kind="to_host", items=1):
+        with telemetry.span("plan.compile.program", kind=kind, items=1):
             t0 = perf_counter()
-            program = build_to_host_program(recorded, op, result, n_chunks)
+            program = build(recorded, op, result, n_chunks)
             dt = perf_counter() - t0
-        COMPILE_SECONDS.add(dt)
-        self.stats.compile_seconds += dt
-        if program is None:
-            UNCOMPILABLE_SHAPES.add()
-            self.programs.put(key, UNCOMPILABLE)
-        else:
-            COMPILATIONS.add()
-            self.stats.compilations += 1
-            self.programs.put(key, program)
-        return bits, result
+        self._store_program(key, program, dt)
+        return reduce(bits), result
 
     def execute_popcount(
         self,
@@ -1121,88 +1163,12 @@ class QueryPlanner:
         """
         self._wave_depth += 1
         try:
-            return self._execute_popcount(
-                op, scratch_frames, source_frame_lists, n_bits
+            return self._to_host_program(
+                op, scratch_frames, source_frame_lists, n_bits, "popcount",
+                PopcountProgram, build_popcount_program, _count_set,
             )
         finally:
             self._wave_depth -= 1
-
-    def _execute_popcount(
-        self,
-        op,
-        scratch_frames: Sequence[int],
-        source_frame_lists: Sequence[Sequence[int]],
-        n_bits: int,
-    ):
-        executor = self.executor
-        if not self.compile_enabled:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-            return int(np.count_nonzero(bits)), result
-        op = PimOp.parse(op)
-        n_chunks = self.geometry.rows_for_bits(n_bits)
-        # raw keys are tagged so popcount bindings never collide with
-        # plain to-host bindings over the same operand tuples
-        raw = (
-            "pc",
-            op,
-            n_bits,
-            executor._current_mode,
-            tuple(scratch_frames),
-            tuple(tuple(s) for s in source_frame_lists),
-        )
-        key = self._to_host_keys.get(raw)
-        if key is None and raw not in self._to_host_keys:
-            key = to_host_shape_key(
-                executor.mapper, op, scratch_frames, source_frame_lists,
-                n_bits, n_chunks, executor._current_mode,
-            )
-            if key is not None:
-                key = ("popcount",) + key
-            if len(self._to_host_keys) >= _MAX_BINDINGS:
-                self._to_host_keys.clear()
-            self._to_host_keys[raw] = key
-        if key is None:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-            return int(np.count_nonzero(bits)), result
-        entry = self.programs.get(key)
-        if type(entry) is PopcountProgram:
-            PROGRAM_HITS.add()
-            self.stats.program_hits += 1
-            return entry.replay(
-                executor, scratch_frames, source_frame_lists, n_bits
-            )
-        PROGRAM_MISSES.add()
-        self.stats.program_misses += 1
-        if entry is UNCOMPILABLE:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-            return int(np.count_nonzero(bits)), result
-        executor.record_sink = recorded = []
-        try:
-            bits, result = executor.bitwise_to_host(
-                op, scratch_frames, source_frame_lists, n_bits
-            )
-        finally:
-            executor.record_sink = None
-        with telemetry.span("plan.compile.program", kind="popcount", items=1):
-            t0 = perf_counter()
-            program = build_popcount_program(recorded, op, result, n_chunks)
-            dt = perf_counter() - t0
-        COMPILE_SECONDS.add(dt)
-        self.stats.compile_seconds += dt
-        if program is None:
-            UNCOMPILABLE_SHAPES.add()
-            self.programs.put(key, UNCOMPILABLE)
-        else:
-            COMPILATIONS.add()
-            self.stats.compilations += 1
-            self.programs.put(key, program)
-        return int(np.count_nonzero(bits)), result
 
     def _serve(
         self,

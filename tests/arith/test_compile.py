@@ -166,14 +166,25 @@ class TestInvalidation:
         assert r2.popcount == r.popcount
         table.verify()
 
-    def test_free_drops_programs_via_allocator_listener(self):
-        table, _ = loaded_table()
+
+    def test_a_new_record_never_revives_stale_ones(self):
+        """Records share their program's stamp: one taken after a leaf
+        write must not make a record from before the write fresh."""
+        table, data = loaded_table()
+        rng = np.random.default_rng(12)
         for _ in range(4):
-            table.filter(("cmp", "age", "lt", 30)).count()
-        assert len(table.compiler.programs) == 1
-        table.free()
-        assert len(table.compiler.programs) == 0
-        assert not table.compiler._frame_index
+            table.filter(("cmp", "age", "lt", 20)).count()
+        assert table.compiler.stats.replays == 1
+        newbits = rng.integers(0, 2, N).astype(np.uint8)
+        table.runtime.pim_write(table._slices["age"].planes[4], newbits)
+        table._host["age"] = (data["age"] & ~16) | (
+            newbits.astype(np.int64) << 4
+        )
+        # other constants of the same shape record after the write
+        for _ in range(4):
+            table.filter(("cmp", "age", "lt", 41)).count()
+        r = table.filter(("cmp", "age", "lt", 20)).count()
+        assert r.popcount == int((table._host["age"] < 20).sum())
 
 
 class TestDifferentialSweep:

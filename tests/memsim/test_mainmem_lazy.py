@@ -26,13 +26,13 @@ def mem():
 
 class TestLazyFrames:
     def test_untouched_frame_reads_zero_without_allocating(self, mem):
-        assert mem.frames_in_use == 0
+        assert mem.frames_written == 0
         data = mem.frame_bytes(3)
         assert np.array_equal(data, np.zeros(GEOM.row_bytes, dtype=np.uint8))
         bits = mem.read_bits(3)
         assert bits.sum() == 0
         # reads must not materialise the frame
-        assert mem.frames_in_use == 0
+        assert mem.frames_written == 0
 
     def test_returned_bytes_are_a_copy(self, mem):
         mem.write_frame(0, np.full(GEOM.row_bytes, 0xAB, dtype=np.uint8))
@@ -43,7 +43,7 @@ class TestLazyFrames:
     def test_write_allocates_only_touched_frames(self, mem):
         mem.write_frame(5, np.zeros(GEOM.row_bytes, dtype=np.uint8))
         mem.write_frame(11, np.ones(GEOM.row_bytes, dtype=np.uint8))
-        assert mem.frames_in_use == 2
+        assert mem.frames_written == 2
 
     def test_frame_bounds_checked(self, mem):
         with pytest.raises(ValueError):

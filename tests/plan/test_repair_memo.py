@@ -88,17 +88,23 @@ def _acct_fields(acct):
 def _play(seed, steps=240, clear_memo=False, on_write=None):
     """Run the seeded stream; returns everything the two plays compare.
 
-    ``on_write(engine)`` (optional) fires before every memory write.
+    ``on_write(engine)`` (optional) fires before every repair pass.
     """
     rt = _runtime()
     engine = rt.planner._repair
     memory = rt.system.memory
-    if clear_memo:
-        # bulk listeners fire before the planner's delta listener, so
-        # every repair pass starts from an empty plan memo
-        memory.add_bulk_write_listener(lambda frames: engine._plans.clear())
-    if on_write is not None:
-        memory.add_bulk_write_listener(lambda frames: on_write(engine))
+    if clear_memo or on_write is not None:
+        # every repair pass starts here: from an empty plan memo, or
+        # after ``on_write`` saw the memo the previous pass left
+        class Hooked:
+            def on_delta(self, farr, deltas):
+                if clear_memo:
+                    engine._plans.clear()
+                if on_write is not None:
+                    on_write(engine)
+                engine.on_delta(farr, deltas)
+
+        rt.planner._repair = Hooked()
     rng = np.random.default_rng(seed)
     counters0 = _repair_counters()
     live = {n: [] for n in LENGTHS}  # n_bits -> [(handle, bits)]

@@ -113,12 +113,7 @@ class CopyMemory(MainMemory):
             if writes[r] == 1:
                 self.frames_written += 1
             self.max_writes = max(self.max_writes, int(writes[r]))
-        for frame in frames:
-            for callback in self._write_listeners:
-                callback(frame)
         self.total_writes += n
-        for callback in self._bulk_listeners:
-            callback(frames)
         if self._delta_listeners:
             deltas = None
             if old is not None:
@@ -135,10 +130,6 @@ class CallLog:
 
     def __init__(self, memory):
         self.calls = []
-        memory.add_write_listener(lambda f: self.calls.append(("w", int(f))))
-        memory.add_bulk_write_listener(
-            lambda fs: self.calls.append(("b", tuple(int(f) for f in fs)))
-        )
         memory.add_delta_write_listener(self)
 
     def wants_delta(self, frames):

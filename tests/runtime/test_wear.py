@@ -202,7 +202,7 @@ class TestMaintainedWear:
             assert published.total_writes == full.total_writes
             assert published.max_writes == full.max_writes
             assert published.mean_writes == pytest.approx(full.mean_writes)
-            assert memory.frames_in_use == full.frames_written
+            assert memory.frames_written == full.frames_written
             gauges = telemetry.aggregate()["gauges"]
             assert gauges["runtime.wear.max_writes"] == full.max_writes
             assert gauges["runtime.wear.mean_writes"] == pytest.approx(
